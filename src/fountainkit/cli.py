@@ -40,7 +40,7 @@ from .core import (
     SeedDegree,
     ShiftList,
 )
-from .errors import PacketFormatError, SingularMatrixError
+from .errors import PacketFormatError, SchemeMismatchError, SingularMatrixError
 from .gf import GF2, GF256
 from .lt import PeelingDecoder
 from .prng import SplitMix64
@@ -438,7 +438,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except IOFailure as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (PacketFormatError, SingularMatrixError) as exc:
+    except (PacketFormatError, SchemeMismatchError, SingularMatrixError) as exc:
         print(f"decode failed: {exc}", file=sys.stderr)
         return EXIT_DECODE_FAILURE
     except (ConfigError, ValueError) as exc:

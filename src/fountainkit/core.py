@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import SchemeMismatchError
 from .gf import FieldSpec, field
-from .linalg import FieldMatrix, OpCounter, addmul_bytes, back_substitute
+from .linalg import FieldMatrix, OpCounter, back_substitute, mul_int, scale_bytes
 from .prng import SplitMix64
 
 
@@ -131,13 +131,12 @@ def linear_combine(
     """Coded payload: the coefficient vector applied to the packet rows."""
     if len(packets) != len(coefficients):
         raise ValueError("one coefficient per packet required")
-    b = len(packets[0])
-    acc = bytes(b)
     gf = field(spec)
+    acc = 0
     for c, p in zip(coefficients, packets):
         if c:
-            acc = addmul_bytes(gf, acc, c, p)
-    return acc
+            acc ^= mul_int(gf, c, p)
+    return acc.to_bytes(len(packets[0]), "big")
 
 
 def regenerate_neighbors(seed: int, degree: int, n: int) -> list[int]:
@@ -183,8 +182,8 @@ class LinearDecoder:
         self._block: Optional[InputBlock] = None
         self._gf = field(spec)
         # basis[i] exists when pivot column i is covered; GF(2) rows are
-        # bit-packed ints with payloads as big ints, GF(2^m>1) rows are
-        # symbol lists with byte payloads.
+        # bit-packed ints with payloads as big ints, GF(256) rows are
+        # coefficient bytes with byte payloads.
         self._rows: list = [None] * k
         self._pays: list = [None] * k
 
@@ -200,6 +199,11 @@ class LinearDecoder:
         if packet.k != self.k:
             raise SchemeMismatchError(
                 f"decoder expects k={self.k}, packet has k={packet.k}"
+            )
+        if packet.packet_len != self.packet_len or len(packet.payload) != self.packet_len:
+            raise SchemeMismatchError(
+                f"decoder expects B={self.packet_len}, packet has B={packet.packet_len} "
+                f"and a {len(packet.payload)}-byte payload"
             )
         if self.status is DecodeStatus.DECODED:
             self.non_innovative_count += 1
@@ -237,28 +241,32 @@ class LinearDecoder:
         return False
 
     def _reduce_gfq(self, coeffs, payload) -> bool:
+        # Coefficient rows are bytes and the working payload is one int,
+        # so each step is two `mul_int` calls and two XORs.
         gf = self._gf
-        row = list(coeffs)
-        pay = bytes(payload)
-        for lead in range(self.k):
+        k, plen = self.k, self.packet_len
+        row = bytes(coeffs)
+        pay = int.from_bytes(payload, "big")
+        for lead in range(k):
             c = row[lead]
             if not c:
                 continue
-            if self._rows[lead] is None:
+            brow = self._rows[lead]
+            if brow is None:
+                pay_bytes = pay.to_bytes(plen, "big")
                 if c != 1:
                     inv = gf.inv(c)
-                    row = [gf.mul(inv, v) if v else 0 for v in row]
-                    pay = bytes(gf.mul(inv, v) for v in pay)
+                    row = scale_bytes(gf, inv, row)
+                    pay_bytes = scale_bytes(gf, inv, pay_bytes)
                     self.counter.row_scale_count += 1
-                    self.counter.symbol_mul_count += sum(1 for v in row if v) + len(pay)
+                    self.counter.symbol_mul_count += k - row.count(0) + plen
                 self._rows[lead] = row
-                self._pays[lead] = pay
+                self._pays[lead] = pay_bytes
                 return True
-            brow = self._rows[lead]
             if c != 1:
-                self.counter.symbol_mul_count += sum(1 for v in brow if v) + len(pay)
-            row = [v ^ (gf.mul(c, w) if w else 0) for v, w in zip(row, brow)]
-            pay = addmul_bytes(gf, pay, c, self._pays[lead])
+                self.counter.symbol_mul_count += k - brow.count(0) + plen
+            row = (int.from_bytes(row, "big") ^ mul_int(gf, c, brow)).to_bytes(k, "big")
+            pay ^= mul_int(gf, c, self._pays[lead])
             self.counter.row_xor_count += 1
         return False
 

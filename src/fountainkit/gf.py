@@ -1,10 +1,12 @@
 """Arithmetic over GF(2^m), 1 <= m <= 16.
 
 Field elements are plain integers in [0, 2^m); a payload byte is one
-GF(256) symbol.  Addition is XOR.  Multiplication is available along two
-independent routes: a schoolbook shift-and-reduce (`mul_schoolbook`) and a
-table-driven form (`mul`) backed by exp/log tables built from the spec's
-generator.  Table construction doubles as a primitivity check: the
+GF(256) symbol.  Addition is XOR.  Multiplication is available along three
+routes: a schoolbook shift-and-reduce (`mul_schoolbook`), a table-driven
+form (`mul`) backed by exp/log tables built from the spec's generator, and,
+for GF(256) only, per-coefficient 256-byte product tables (`mul_table`)
+that multiply a whole payload row by one coefficient in a single
+`bytes.translate`.  Table construction doubles as a primitivity check: the
 generator's powers must enumerate every nonzero element exactly once.
 
 The module keeps a small `Symbol` wrapper for call sites that want field
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 from .errors import FieldConstructionError, FieldMismatchError
 
@@ -99,6 +102,7 @@ class GF:
         self.order = spec.order
         self._mask = self.order - 1
         self._exp, self._log = self._build_tables()
+        self._mul_tables: Optional[list[bytes]] = None
 
     # -- construction -------------------------------------------------
 
@@ -168,6 +172,24 @@ class GF:
             return 0 if e else 1
         n = self.order - 1
         return self._exp[(self._log[a] * e) % n]
+
+    def mul_table(self, c: int) -> bytes:
+        """The 256-byte table T with T[v] = c * v, for `bytes.translate`.
+
+        Defined for GF(256) only; all 256 tables are built on first use.
+        Table c maps each nonzero byte through its log into the exp table
+        rotated by log(c), so each costs one slice and one translate.
+        """
+        if self._mul_tables is None:
+            if self.m != 8:
+                raise ValueError(f"product tables need GF(2^8), not GF(2^{self.m})")
+            exp = bytes(self._exp)
+            logs = bytes(self._log[1:])
+            # Logs are 0..254, so the padding byte at index 255 is never read.
+            self._mul_tables = [bytes(256)] + [
+                b"\0" + logs.translate(exp[lc:] + exp[:lc] + b"\0") for lc in self._log[1:]
+            ]
+        return self._mul_tables[c]
 
     @property
     def exp_table(self) -> tuple[int, ...]:

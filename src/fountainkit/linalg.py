@@ -10,9 +10,13 @@ Counting unit: one `row_xor` is one full row combination regardless of
 row width; one `resolve` is the resolution of one unknown during
 back-substitution.  `symbol_mul_count` is finer grained and counts field
 multiplications per symbol (matrix entries and payload bytes alike), so
-XOR-only schemes show an exact zero there.  A dense GF(2) triangular k x k
-system back-substitutes in k(k-1)/2 row combinations plus k resolutions,
-i.e. k(k+1)/2 elementary steps.
+XOR-only schemes show an exact zero there.  It is a semantic count, one
+per nonzero symbol multiplied by a coefficient other than 1, whatever
+kernel computes the products; GF(256) rows are in fact multiplied a whole
+row at a time by `mul_int`, one `bytes.translate` through a `GF.mul_table`
+product table.  A dense GF(2) triangular k x k system back-substitutes in
+k(k-1)/2 row combinations plus k resolutions, i.e. k(k+1)/2 elementary
+steps.
 
 GF(2) rows are bit-packed into arbitrary-width Python ints (bit j is
 column j), so row addition is a single integer XOR.  GF(2^m>1) matrices
@@ -233,19 +237,32 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     ).to_bytes(len(a), "big")
 
 
+def mul_int(gf: GF, c: int, a: bytes) -> int:
+    """c*a, symbol-wise over GF(256), as a big-endian int.
+
+    The one GF(256) row kernel: a product-table translate and one
+    `int.from_bytes`, so callers accumulate rows with a single int XOR and
+    convert back to bytes once.
+    """
+    if c == 1:
+        return int.from_bytes(a, "big")
+    return int.from_bytes(a.translate(gf.mul_table(c)), "big")
+
+
 def scale_bytes(gf: GF, c: int, a: bytes) -> bytes:
+    """c*a, symbol-wise."""
+    if c == 0:
+        return bytes(len(a))
     if c == 1:
         return bytes(a)
-    mul = gf.mul
-    return bytes(mul(c, v) for v in a)
+    return a.translate(gf.mul_table(c))
 
 
 def addmul_bytes(gf: GF, acc: bytes, c: int, a: bytes) -> bytes:
     """acc XOR c*a, symbol-wise."""
-    if c == 1:
-        return xor_bytes(acc, a)
-    mul = gf.mul
-    return bytes(x ^ mul(c, v) for x, v in zip(acc, a))
+    if c == 0:
+        return bytes(acc)
+    return (int.from_bytes(acc, "big") ^ mul_int(gf, c, a)).to_bytes(len(acc), "big")
 
 
 # -- elimination ---------------------------------------------------------
@@ -417,23 +434,26 @@ def back_substitute(
             counter.resolve_count += 1
         return [xi.to_bytes(plen, "big") for xi in x]
 
+    # Each unknown is accumulated on one int, one `mul_int` per term.
     gf = field(u.spec)
     xs: list[bytes] = [b""] * n
     for i in range(n - 1, -1, -1):
-        v = bytes(rhs[i])
+        plen = len(rhs[i])
+        v = int.from_bytes(rhs[i], "big")
         for j, c in u.row_support(i):
             if j <= i:
                 continue
             if c != 1:
-                counter.symbol_mul_count += len(v)
-            v = addmul_bytes(gf, v, c, xs[j])
+                counter.symbol_mul_count += plen
+            v ^= mul_int(gf, c, xs[j])
             counter.row_xor_count += 1
+        x = v.to_bytes(plen, "big")
         d = u.get(i, i)
         if d != 1:
-            counter.symbol_mul_count += len(v)
-            v = scale_bytes(gf, gf.inv(d), v)
+            counter.symbol_mul_count += plen
+            x = scale_bytes(gf, gf.inv(d), x)
             counter.row_scale_count += 1
-        xs[i] = v
+        xs[i] = x
         counter.resolve_count += 1
     return xs
 

@@ -209,3 +209,33 @@ class TestArqBaseline:
                 blk, ChannelSpec(loss, 1, seed=seed), lossy_acks=True
             ).total_transmissions
         assert spurious > base
+
+
+class TestGf256CounterPins:
+    """Exact operation counts of one seeded GF(256) session per scheme.
+
+    The counters are semantic (one symbol multiplication per nonzero
+    symbol scaled by a coefficient other than 1), so no change of row
+    kernel may move them.
+    """
+
+    #: (row_xor, sym_mul, resolve, row_scale, row_swap), four clients summed.
+    PINNED = {
+        "rl": (948, 1041102, 64, 64, 0),
+        "rs": (960, 923466, 64, 60, 0),
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(PINNED))
+    def test_session_counters(self, scheme):
+        rng = random.Random(f"pin/{scheme}")
+        data = rng.randbytes(16 * 1024)
+        blk = InputBlock(tuple(data[i * 1024 : (i + 1) * 1024] for i in range(16)))
+        codec = make_codec_session(scheme, blk, seed=rng.getrandbits(64))
+        report = Session(codec, ChannelSpec(0.2, 4, seed=rng.getrandbits(64))).run()
+        assert report.all_decoded
+        c = report.op_counter
+        counts = (
+            c.row_xor_count, c.symbol_mul_count, c.resolve_count,
+            c.row_scale_count, c.row_swap_count,
+        )
+        assert counts == self.PINNED[scheme]

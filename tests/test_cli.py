@@ -156,3 +156,25 @@ class TestBench:
         rows = [r.split(",") for r in out.strip().split("\n")[1:]]
         means = {int(r[1]): float(r[6]) for r in rows}
         assert means[20] > means[100] > means[1000]
+
+
+class TestMixedPacketLength:
+    def test_mixed_b_stream_is_decode_failure(self, sample_file, tmp_path, capsys):
+        # A GF(256) rl stream whose first frame has B = 152 and whose later
+        # frames have B = 327 must be refused, not decoded or crashed on.
+        frames = {}
+        for b in (152, 327):
+            stream = tmp_path / f"b{b}.ec"
+            assert run("encode", sample_file, stream, "--scheme", "rl", "--k", 20,
+                       "--b", b, "--seed", 5) == 0
+            frames[b] = list(read_stream(stream.read_bytes()))
+        mixed = tmp_path / "mixed.ec"
+        mixed.write_bytes(write_stream(frames[152][:1] + frames[327]))
+        out = tmp_path / "mixed.out"
+        capsys.readouterr()
+        assert run("decode", mixed, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("decode failed:")
+        assert "B=327" in err
+        assert "Traceback" not in err
+        assert not out.exists()

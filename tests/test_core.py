@@ -217,6 +217,18 @@ class TestLinearDecoder:
         with pytest.raises(SchemeMismatchError):
             dec.ingest(p)
 
+    @pytest.mark.parametrize("spec", [GF2, GF256])
+    def test_packet_length_mismatch(self, spec):
+        blk = block(k=3, b=4)
+        dec = self._decoder(spec=spec)
+        good = coeff_packet([1, 1, 0], linear_combine(blk.packets, (1, 1, 0), spec))
+        dec.ingest(good)
+        with pytest.raises(SchemeMismatchError):
+            dec.ingest(coeff_packet([1, 1, 0], good.payload + b"\x00"))
+        with pytest.raises(SchemeMismatchError):
+            dec.ingest(coeff_packet([1, 1, 0], good.payload, b=5))
+        assert dec.rank == 1
+
     def test_rank_matches_matrix_rank_on_prefixes(self):
         rng = random.Random(21)
         for spec in (GF2, GF256):

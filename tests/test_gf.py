@@ -108,6 +108,36 @@ class TestTables:
             field(FieldSpec(m=8, modulus=0x11E, generator=2))
 
 
+#: One primitive polynomial per degree 1..16.
+PRIMITIVE_MODULI = {
+    1: 0b11, 2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101,
+    6: 0b1000011, 7: 0b10001001, 8: 0x11D, 9: 0b1000010001,
+    10: 0b10000001001, 11: 0b100000000101, 12: 0b1000001010011,
+    13: 0b10000000011011, 14: 0b100010001000011,
+    15: 0b1000000000000011, 16: 0b10001000000001011,
+}
+
+
+class TestProductTables:
+    def test_matches_schoolbook_exhaustive(self):
+        g = field(GF256)
+        for c in range(256):
+            table = g.mul_table(c)
+            assert len(table) == 256
+            for v in range(256):
+                assert table[v] == g.mul_schoolbook(c, v)
+
+    def test_other_fields_build_no_tables(self):
+        # Every degree but 8 constructs as before and never builds tables.
+        for m, mod in PRIMITIVE_MODULI.items():
+            if m == 8:
+                continue
+            g = field(FieldSpec(m=m, modulus=mod, generator=2 if m > 1 else 1))
+            with pytest.raises(ValueError):
+                g.mul_table(1)
+            assert g._mul_tables is None
+
+
 class TestFieldSpec:
     def test_degree_enforced(self):
         with pytest.raises(FieldConstructionError):

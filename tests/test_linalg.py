@@ -4,14 +4,17 @@ import random
 
 import pytest
 
+from fountainkit.core import linear_combine
 from fountainkit.errors import SingularMatrixError
 from fountainkit.gf import GF2, GF256, field
 from fountainkit.linalg import (
     FieldMatrix,
     OpCounter,
+    addmul_bytes,
     back_substitute,
     invert,
     rank,
+    scale_bytes,
     solve,
     triangularize,
     xor_bytes,
@@ -289,3 +292,47 @@ class TestRepresentations:
             dense = FieldMatrix.from_rows(GF256, rows, sparse_threshold=0.0)
             assert triangularize(sparse).rank == triangularize(dense).rank
             assert triangularize(sparse).matrix == triangularize(dense).matrix
+
+
+KERNEL_COEFFICIENTS = (0, 1, 2, 0x8E, 0xFF)
+
+
+def per_byte_scale(c, a):
+    g = field(GF256)
+    return bytes(g.mul(c, v) for v in a)
+
+
+class TestRowKernels:
+    """The table-lookup row kernels against a per-byte `gf.mul` reference."""
+
+    @pytest.mark.parametrize("c", KERNEL_COEFFICIENTS)
+    def test_scale_bytes(self, c):
+        rng = random.Random(c)
+        for size in (1, 7, 1024):
+            a = rng.randbytes(size)
+            assert scale_bytes(field(GF256), c, a) == per_byte_scale(c, a)
+
+    @pytest.mark.parametrize("c", KERNEL_COEFFICIENTS)
+    def test_addmul_bytes(self, c):
+        rng = random.Random(100 + c)
+        for size in (1, 7, 1024):
+            acc, a = rng.randbytes(size), rng.randbytes(size)
+            expected = bytes(x ^ y for x, y in zip(acc, per_byte_scale(c, a)))
+            assert addmul_bytes(field(GF256), acc, c, a) == expected
+
+    @pytest.mark.parametrize("c", KERNEL_COEFFICIENTS)
+    def test_linear_combine(self, c):
+        rng = random.Random(200 + c)
+        packets = [rng.randbytes(33) for _ in range(5)]
+        # The coefficient under test, next to random ones and a zero.
+        coeffs = [c, rng.randrange(256), 0, c, rng.randrange(2, 256)]
+        expected = bytes(33)
+        for ci, p in zip(coeffs, packets):
+            expected = bytes(x ^ y for x, y in zip(expected, per_byte_scale(ci, p)))
+        assert linear_combine(packets, coeffs, GF256) == expected
+
+    def test_leading_zero_bytes_kept(self):
+        # The int accumulators must not drop leading zero bytes.
+        packets = [b"\x00\x00\x05", b"\x00\x00\x07"]
+        assert linear_combine(packets, [1, 1], GF256) == b"\x00\x00\x02"
+        assert addmul_bytes(field(GF256), b"\x00\x01", 2, b"\x00\x00") == b"\x00\x01"
