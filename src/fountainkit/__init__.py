@@ -19,7 +19,7 @@ from .core import (
     linear_combine,
     tanner_graph,
 )
-from .gf import GF2, GF256, FieldSpec, Symbol, field
+from .gf import GF2, GF256, FieldSpec, field
 from .linalg import (
     FieldMatrix,
     OpCounter,
@@ -47,7 +47,6 @@ __all__ = [
     "SchemeId",
     "SeedDegree",
     "ShiftList",
-    "Symbol",
     "TannerGraph",
     "back_substitute",
     "deserialize",

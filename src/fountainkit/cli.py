@@ -166,11 +166,29 @@ def _achieved_rank(decoder) -> int:
     return 0
 
 
+def _check_frames(packets) -> None:
+    """Every frame must share the first frame's scheme, k and B.
+
+    `read_stream` has already checked each payload's length against its
+    own frame's B, so this covers payload lengths too.
+    """
+    first = packets[0]
+    context = (first.scheme, first.k, first.packet_len)
+    for i, p in enumerate(packets):
+        if (p.scheme, p.k, p.packet_len) != context:
+            raise SchemeMismatchError(
+                f"frame {i} is {p.scheme.name} with k={p.k}, B={p.packet_len}, "
+                f"but the stream starts with {first.scheme.name} with k={first.k}, "
+                f"B={first.packet_len}"
+            )
+
+
 def cmd_decode(args) -> int:
     packets = list(read_stream(_read_file(args.input)))
     if not packets:
         print("decode failed: stream holds no frames", file=sys.stderr)
         return EXIT_DECODE_FAILURE
+    _check_frames(packets)
     decoder = _decoder_for_stream(packets, args)
     for p in packets:
         decoder.ingest(p)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import SchemeMismatchError
 from .gf import FieldSpec, field
-from .linalg import FieldMatrix, OpCounter, back_substitute, mul_int, scale_bytes
+from .linalg import FieldMatrix, OpCounter, back_substitute, mul_int, row_ops
 from .prng import SplitMix64
 
 
@@ -181,11 +181,12 @@ class LinearDecoder:
         self.accepted_count = 0
         self._block: Optional[InputBlock] = None
         self._gf = field(spec)
-        # basis[i] exists when pivot column i is covered; GF(2) rows are
-        # bit-packed ints with payloads as big ints, GF(256) rows are
-        # coefficient bytes with byte payloads.
-        self._rows: list = [None] * k
-        self._pays: list = [None] * k
+        self._ops = row_ops(spec)
+        # basis[i] exists when pivot column i is covered: (row in the
+        # field's row format with leading symbol 1, payload bytes for
+        # `mul_int`, payload int for coefficient 1, symbols multiplied
+        # when a multiple other than 1 of it is applied).
+        self._basis: list = [None] * k
 
     @property
     def rank(self) -> int:
@@ -211,11 +212,7 @@ class LinearDecoder:
         coeffs = list(self._coefficients_of(packet))
         if len(coeffs) != self.k:
             raise ValueError("coding vector length must equal k")
-        if self.spec.m == 1:
-            innovative = self._reduce_gf2(coeffs, packet.payload)
-        else:
-            innovative = self._reduce_gfq(coeffs, packet.payload)
-        if innovative:
+        if self._reduce(self._ops.pack(coeffs), packet.payload):
             self.accepted_count += 1
             if self.accepted_count == self.k:
                 self.status = DecodeStatus.DECODABLE
@@ -223,51 +220,38 @@ class LinearDecoder:
             self.non_innovative_count += 1
         return self.status
 
-    def _reduce_gf2(self, coeffs, payload) -> bool:
-        row = 0
-        for j, c in enumerate(coeffs):
-            if c:
-                row |= 1 << j
-        pay = int.from_bytes(payload, "big")
-        while row:
-            lead = (row & -row).bit_length() - 1
-            if self._rows[lead] is None:
-                self._rows[lead] = row
-                self._pays[lead] = pay
-                return True
-            row ^= self._rows[lead]
-            pay ^= self._pays[lead]
-            self.counter.row_xor_count += 1
-        return False
+    def _reduce(self, row, payload: bytes) -> bool:
+        """Reduce one row against the basis; store it if innovative.
 
-    def _reduce_gfq(self, coeffs, payload) -> bool:
-        # Coefficient rows are bytes and the working payload is one int,
-        # so each step is two `mul_int` calls and two XORs.
-        gf = self._gf
-        k, plen = self.k, self.packet_len
-        row = bytes(coeffs)
+        Each step is one `addmul` on the coefficient row; the working
+        payload is one int, combined by one XOR (coefficient 1) or one
+        `mul_int` and XOR (any other coefficient).
+        """
+        ops, gf, counter, basis = self._ops, self._gf, self.counter, self._basis
+        lead, addmul, plen = ops.lead, ops.addmul, self.packet_len
         pay = int.from_bytes(payload, "big")
-        for lead in range(k):
-            c = row[lead]
-            if not c:
-                continue
-            brow = self._rows[lead]
-            if brow is None:
-                pay_bytes = pay.to_bytes(plen, "big")
+        col, c = lead(row)
+        while col >= 0:
+            entry = basis[col]
+            if entry is None:
+                cost = ops.weight(row) + plen
                 if c != 1:
                     inv = gf.inv(c)
-                    row = scale_bytes(gf, inv, row)
-                    pay_bytes = scale_bytes(gf, inv, pay_bytes)
-                    self.counter.row_scale_count += 1
-                    self.counter.symbol_mul_count += k - row.count(0) + plen
-                self._rows[lead] = row
-                self._pays[lead] = pay_bytes
+                    row = ops.scale(row, inv)
+                    pay = mul_int(gf, inv, pay.to_bytes(plen, "big"))
+                    counter.row_scale_count += 1
+                    counter.symbol_mul_count += cost
+                basis[col] = (row, pay.to_bytes(plen, "big"), pay, cost)
                 return True
-            if c != 1:
-                self.counter.symbol_mul_count += k - brow.count(0) + plen
-            row = (int.from_bytes(row, "big") ^ mul_int(gf, c, brow)).to_bytes(k, "big")
-            pay ^= mul_int(gf, c, self._pays[lead])
-            self.counter.row_xor_count += 1
+            brow, bpay, bpay_int, cost = entry
+            if c == 1:
+                pay ^= bpay_int
+            else:
+                counter.symbol_mul_count += cost
+                pay ^= mul_int(gf, c, bpay)
+            row = addmul(row, c, brow)
+            counter.row_xor_count += 1
+            col, c = lead(row)
         return False
 
     def decode(self) -> InputBlock:
@@ -277,13 +261,8 @@ class LinearDecoder:
             raise RuntimeError(
                 f"need k={self.k} innovative packets, have {self.accepted_count}"
             )
-        if self.spec.m == 1:
-            u = FieldMatrix(self.spec, self.k, self.k, _bits=list(self._rows))
-            rhs = [p.to_bytes(self.packet_len, "big") for p in self._pays]
-        else:
-            u = FieldMatrix.from_rows(self.spec, self._rows)
-            rhs = list(self._pays)
-        xs = back_substitute(u, rhs, self.counter)
+        u = FieldMatrix(self.spec, self.k, [e[0] for e in self._basis])
+        xs = back_substitute(u, [e[1] for e in self._basis], self.counter)
         self._block = InputBlock(tuple(xs))
         self.status = DecodeStatus.DECODED
         return self._block

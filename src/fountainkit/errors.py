@@ -1,10 +1,6 @@
 """Exception types shared across the toolkit."""
 
 
-class FieldMismatchError(ValueError):
-    """Raised when two symbols or matrices from different fields are combined."""
-
-
 class FieldConstructionError(ValueError):
     """Raised when a field spec is invalid (reducible modulus, non-primitive generator)."""
 

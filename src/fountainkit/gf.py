@@ -8,10 +8,6 @@ for GF(256) only, per-coefficient 256-byte product tables (`mul_table`)
 that multiply a whole payload row by one coefficient in a single
 `bytes.translate`.  Table construction doubles as a primitivity check: the
 generator's powers must enumerate every nonzero element exactly once.
-
-The module keeps a small `Symbol` wrapper for call sites that want field
-membership checked on every operation; hot paths use the integer API on a
-`GF` instance directly.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import FieldConstructionError, FieldMismatchError
+from .errors import FieldConstructionError
 
 
 @dataclass(frozen=True)
@@ -59,38 +55,6 @@ GF2 = FieldSpec(m=1, modulus=0b11, generator=1)
 #: GF(256) with the conventional Reed-Solomon erasure polynomial
 #: x^8 + x^4 + x^3 + x^2 + 1 and generator 2.
 GF256 = FieldSpec(m=8, modulus=0x11D, generator=2)
-
-
-@dataclass(frozen=True)
-class Symbol:
-    """A field element bound to its FieldSpec."""
-
-    value: int
-    spec: FieldSpec
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.spec.order:
-            raise ValueError(f"value {self.value} outside GF(2^{self.spec.m})")
-
-    def _check(self, other: "Symbol") -> None:
-        if self.spec != other.spec:
-            raise FieldMismatchError(
-                f"symbols from different fields: GF(2^{self.spec.m}) vs GF(2^{other.spec.m})"
-            )
-
-    def __add__(self, other: "Symbol") -> "Symbol":
-        self._check(other)
-        return Symbol(self.value ^ other.value, self.spec)
-
-    __xor__ = __add__
-    __sub__ = __add__
-
-    def __mul__(self, other: "Symbol") -> "Symbol":
-        self._check(other)
-        return Symbol(field(self.spec).mul(self.value, other.value), self.spec)
-
-    def inverse(self) -> "Symbol":
-        return Symbol(field(self.spec).inv(self.value), self.spec)
 
 
 class GF:
@@ -204,15 +168,3 @@ class GF:
 def field(spec: FieldSpec) -> GF:
     """Shared GF instance per spec; tables are immutable once built."""
     return GF(spec)
-
-
-def gf_add(a: Symbol, b: Symbol) -> Symbol:
-    return a + b
-
-
-def gf_mul(a: Symbol, b: Symbol) -> Symbol:
-    return a * b
-
-
-def gf_inv(a: Symbol) -> Symbol:
-    return a.inverse()

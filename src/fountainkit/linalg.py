@@ -1,8 +1,8 @@
-"""Matrices over GF(2) and GF(2^m) with exact operation counting.
+"""Matrices over GF(2) and GF(256) with exact operation counting.
 
 Gaussian elimination is deliberately split into the two phases whose costs
 the codecs care about: `triangularize` (row echelon via row interchange,
-row addition and, over GF(2^m>1), row scaling) and `back_substitute`
+row addition and, over GF(256), row scaling) and `back_substitute`
 (solving an upper-triangular system).  Every row-level operation is
 tallied in an `OpCounter`.
 
@@ -18,22 +18,21 @@ product table.  A dense GF(2) triangular k x k system back-substitutes in
 k(k-1)/2 row combinations plus k resolutions, i.e. k(k+1)/2 elementary
 steps.
 
-GF(2) rows are bit-packed into arbitrary-width Python ints (bit j is
-column j), so row addition is a single integer XOR.  GF(2^m>1) matrices
-are stored dense (row-major symbol lists) or sparse (per-row sorted
-(column, symbol) pairs) depending on construction density.
+Each field has one row format, and `row_ops` returns the handful of row
+operations on it, so every routine has one body for both fields.  A GF(2)
+row is one arbitrary-width Python int (bit j is column j), so row addition
+is a single integer XOR; a GF(256) row is `bytes`, one symbol per column,
+combined through `mul_int`.  Payload rows are `bytes` in both fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import SingularMatrixError
 from .gf import GF, FieldSpec, field
-
-#: Construction densities below this fraction store GF(2^m>1) rows sparse.
-SPARSE_THRESHOLD = 0.25
 
 
 @dataclass
@@ -71,163 +70,6 @@ class OpCounter:
         self.resolve_count += other.resolve_count
 
 
-class FieldMatrix:
-    """Matrix over GF(2^m).
-
-    Construction picks the representation: bit-packed rows for GF(2),
-    dense symbol rows or sparse (column, symbol) rows for larger fields
-    (sparse when construction density < `sparse_threshold`).  Conversions
-    between representations are lossless.
-    """
-
-    __slots__ = ("spec", "rows", "cols", "_bits", "_dense", "_sparse")
-
-    def __init__(
-        self,
-        spec: FieldSpec,
-        rows: int,
-        cols: int,
-        *,
-        _bits=None,
-        _dense=None,
-        _sparse=None,
-    ):
-        self.spec = spec
-        self.rows = rows
-        self.cols = cols
-        self._bits: Optional[list[int]] = _bits
-        self._dense: Optional[list[list[int]]] = _dense
-        self._sparse: Optional[list[list[tuple[int, int]]]] = _sparse
-
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def from_rows(
-        cls,
-        spec: FieldSpec,
-        rows: Iterable[Sequence[int]],
-        sparse_threshold: float = SPARSE_THRESHOLD,
-    ) -> "FieldMatrix":
-        data = [list(r) for r in rows]
-        nrows = len(data)
-        ncols = len(data[0]) if data else 0
-        for r in data:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            for v in r:
-                if not 0 <= v < spec.order:
-                    raise ValueError(f"symbol {v} outside GF(2^{spec.m})")
-        if spec.m == 1:
-            bits = [_pack_bits(r) for r in data]
-            return cls(spec, nrows, ncols, _bits=bits)
-        nnz = sum(1 for r in data for v in r if v)
-        if nrows and ncols and nnz / (nrows * ncols) < sparse_threshold:
-            sp = [[(j, v) for j, v in enumerate(r) if v] for r in data]
-            return cls(spec, nrows, ncols, _sparse=sp)
-        return cls(spec, nrows, ncols, _dense=data)
-
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "FieldMatrix":
-        return cls.from_rows(spec, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "FieldMatrix":
-        return cls.from_rows(spec, [[0] * cols for _ in range(rows)])
-
-    # -- inspection ----------------------------------------------------
-
-    @property
-    def is_sparse(self) -> bool:
-        return self._sparse is not None
-
-    @property
-    def is_bit_packed(self) -> bool:
-        return self._bits is not None
-
-    def get(self, i: int, j: int) -> int:
-        if self._bits is not None:
-            return (self._bits[i] >> j) & 1
-        if self._dense is not None:
-            return self._dense[i][j]
-        for col, v in self._sparse[i]:
-            if col == j:
-                return v
-            if col > j:
-                break
-        return 0
-
-    def row_support(self, i: int) -> list[tuple[int, int]]:
-        """Nonzero (column, symbol) pairs of row i in ascending column order."""
-        if self._bits is not None:
-            row = self._bits[i]
-            out = []
-            while row:
-                low = row & -row
-                out.append((low.bit_length() - 1, 1))
-                row ^= low
-            return out
-        if self._dense is not None:
-            return [(j, v) for j, v in enumerate(self._dense[i]) if v]
-        return list(self._sparse[i])
-
-    def to_rows(self) -> list[list[int]]:
-        """Dense symbol rows, whatever the internal representation."""
-        if self._dense is not None:
-            return [list(r) for r in self._dense]
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            for j, v in self.row_support(i):
-                out[i][j] = v
-        return out
-
-    def density(self) -> float:
-        if self.rows == 0 or self.cols == 0:
-            return 0.0
-        nnz = sum(len(self.row_support(i)) for i in range(self.rows))
-        return nnz / (self.rows * self.cols)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldMatrix)
-            and self.spec == other.spec
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.to_rows() == other.to_rows()
-        )
-
-    def __repr__(self) -> str:
-        return f"FieldMatrix(GF(2^{self.spec.m}), {self.rows}x{self.cols})"
-
-    def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        gf = field(self.spec)
-        ocols = other.cols
-        orows = other.to_rows()
-        out = []
-        for i in range(self.rows):
-            acc = [0] * ocols
-            for j, v in self.row_support(i):
-                orow = orows[j]
-                if v == 1:
-                    for t in range(ocols):
-                        acc[t] ^= orow[t]
-                else:
-                    for t in range(ocols):
-                        if orow[t]:
-                            acc[t] ^= gf.mul(v, orow[t])
-            out.append(acc)
-        return FieldMatrix.from_rows(self.spec, out)
-
-
-def _pack_bits(row: Sequence[int]) -> int:
-    acc = 0
-    for j, v in enumerate(row):
-        if v:
-            acc |= 1 << j
-    return acc
-
-
 # -- payload row helpers ------------------------------------------------
 
 
@@ -242,7 +84,8 @@ def mul_int(gf: GF, c: int, a: bytes) -> int:
 
     The one GF(256) row kernel: a product-table translate and one
     `int.from_bytes`, so callers accumulate rows with a single int XOR and
-    convert back to bytes once.
+    convert back to bytes once.  With c = 1 it is field-independent, which
+    is how GF(2) payloads use it.
     """
     if c == 1:
         return int.from_bytes(a, "big")
@@ -258,11 +101,172 @@ def scale_bytes(gf: GF, c: int, a: bytes) -> bytes:
     return a.translate(gf.mul_table(c))
 
 
-def addmul_bytes(gf: GF, acc: bytes, c: int, a: bytes) -> bytes:
-    """acc XOR c*a, symbol-wise."""
-    if c == 0:
-        return bytes(acc)
-    return (int.from_bytes(acc, "big") ^ mul_int(gf, c, a)).to_bytes(len(acc), "big")
+def _payload_len(rhs: Sequence[bytes]) -> int:
+    lengths = set(map(len, rhs))
+    if len(lengths) > 1:
+        raise ValueError("rhs rows must have equal length")
+    return lengths.pop() if lengths else 0
+
+
+# -- row formats ---------------------------------------------------------
+
+
+class _Bits:
+    """GF(2) rows: one int, bit j = column j.  Every nonzero is 1, so the
+    coefficient of `addmul` and `scale` is always 1."""
+
+    @staticmethod
+    def pack(row: Iterable[int]) -> int:
+        acc = 0
+        for j, v in enumerate(row):
+            if v:
+                acc |= 1 << j
+        return acc
+
+    @staticmethod
+    def unpack(row: int, cols: int) -> list[int]:
+        return [(row >> j) & 1 for j in range(cols)]
+
+    @staticmethod
+    def lead(row: int) -> tuple[int, int]:
+        """(first nonzero column, its symbol); column -1 for a zero row."""
+        return (row & -row).bit_length() - 1, 1
+
+    @staticmethod
+    def get(row: int, j: int) -> int:
+        return (row >> j) & 1
+
+    @staticmethod
+    def column(rows: list[int], j: int, start: int, stop: int) -> list[tuple[int, int]]:
+        """(r, symbol) for each nonzero symbol j of rows[start:stop]."""
+        return [(r, 1) for r in range(start, stop) if (rows[r] >> j) & 1]
+
+    @staticmethod
+    def addmul(acc: int, c: int, row: int) -> int:
+        return acc ^ row
+
+    @staticmethod
+    def scale(row: int, c: int) -> int:
+        return row
+
+    weight = staticmethod(int.bit_count)
+
+
+class _Bytes:
+    """GF(256) rows: `bytes`, symbol j = column j."""
+
+    def __init__(self, gf: GF):
+        self.gf = gf
+
+    pack = staticmethod(bytes)
+
+    @staticmethod
+    def unpack(row: bytes, cols: int) -> list[int]:
+        return list(row)
+
+    @staticmethod
+    def lead(row: bytes) -> tuple[int, int]:
+        """(first nonzero column, its symbol); column -1 for a zero row."""
+        rest = row.lstrip(b"\0")
+        return (len(row) - len(rest), rest[0]) if rest else (-1, 0)
+
+    @staticmethod
+    def get(row: bytes, j: int) -> int:
+        return row[j]
+
+    @staticmethod
+    def column(rows: list[bytes], j: int, start: int, stop: int) -> list[tuple[int, int]]:
+        """(r, symbol) for each nonzero symbol j of rows[start:stop]."""
+        return [(r, rows[r][j]) for r in range(start, stop) if rows[r][j]]
+
+    def addmul(self, acc: bytes, c: int, row: bytes) -> bytes:
+        """acc + c*row."""
+        return (int.from_bytes(acc, "big") ^ mul_int(self.gf, c, row)).to_bytes(len(acc), "big")
+
+    def scale(self, row: bytes, c: int) -> bytes:
+        return scale_bytes(self.gf, c, row)
+
+    @staticmethod
+    def weight(row: bytes) -> int:
+        return len(row) - row.count(0)
+
+
+@lru_cache(maxsize=None)
+def row_ops(spec: FieldSpec):
+    """The row format of a field: `_Bits` for GF(2), `_Bytes` for GF(256)."""
+    if spec.m == 1:
+        return _Bits
+    if spec.m == 8:
+        return _Bytes(field(spec))
+    raise ValueError(f"matrices need GF(2) or GF(256), not GF(2^{spec.m})")
+
+
+class FieldMatrix:
+    """Matrix over GF(2) or GF(256), one row per entry of `packed` in the
+    field's row format (see `row_ops`)."""
+
+    __slots__ = ("spec", "rows", "cols", "_rows", "_ops")
+
+    def __init__(self, spec: FieldSpec, cols: int, packed: list):
+        self.spec = spec
+        self.rows = len(packed)
+        self.cols = cols
+        self._rows = packed
+        self._ops = row_ops(spec)
+
+    # -- construction --------------------------------------------------
+
+    @classmethod
+    def from_rows(cls, spec: FieldSpec, rows: Iterable[Sequence[int]]) -> "FieldMatrix":
+        data = [list(r) for r in rows]
+        ncols = len(data[0]) if data else 0
+        order = spec.order
+        for r in data:
+            if len(r) != ncols:
+                raise ValueError("ragged rows")
+            for v in r:
+                if not 0 <= v < order:
+                    raise ValueError(f"symbol {v} outside GF(2^{spec.m})")
+        pack = row_ops(spec).pack
+        return cls(spec, ncols, [pack(r) for r in data])
+
+    @classmethod
+    def identity(cls, spec: FieldSpec, n: int) -> "FieldMatrix":
+        return cls.from_rows(spec, [[int(i == j) for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "FieldMatrix":
+        return cls.from_rows(spec, [[0] * cols for _ in range(rows)])
+
+    # -- inspection ----------------------------------------------------
+
+    def get(self, i: int, j: int) -> int:
+        return self._ops.get(self._rows[i], j)
+
+    def to_rows(self) -> list[list[int]]:
+        """Symbol rows."""
+        return [self._ops.unpack(r, self.cols) for r in self._rows]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FieldMatrix)
+            and self.spec == other.spec
+            and self.cols == other.cols
+            and self._rows == other._rows
+        )
+
+    def __repr__(self) -> str:
+        return f"FieldMatrix(GF(2^{self.spec.m}), {self.rows}x{self.cols})"
+
+    def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
+        if self.cols != other.rows:
+            raise ValueError("dimension mismatch")
+        ops = self._ops
+        out = [ops.pack([0] * other.cols)] * self.rows
+        for j, orow in enumerate(other._rows):
+            for i, v in ops.column(self._rows, j, 0, self.rows):
+                out[i] = ops.addmul(out[i], v, orow)
+        return FieldMatrix(self.spec, other.cols, out)
 
 
 # -- elimination ---------------------------------------------------------
@@ -292,33 +296,26 @@ def triangularize(
     """Row-echelon reduction by column order, pivot = first nonzero top-down.
 
     The input matrix is not modified.  Rank deficiency is reported via the
-    result, never raised.
+    result, never raised.  Payload rows are carried as ints: one XOR per
+    coefficient 1, one `mul_int` per other coefficient.
     """
     counter = counter if counter is not None else OpCounter()
     if rhs is not None and len(rhs) != m.rows:
         raise ValueError("rhs row count must match matrix rows")
-    if m.spec.m == 1:
-        return _triangularize_gf2(m, counter, rhs)
-    return _triangularize_gfq(m, counter, rhs)
-
-
-def _triangularize_gf2(m, counter, rhs):
-    rows = list(m._bits) if m._bits is not None else [_pack_bits(r) for r in m.to_rows()]
+    plen = _payload_len(rhs) if rhs is not None else 0
+    ops, gf = m._ops, field(m.spec)
+    column, addmul, weight = ops.column, ops.addmul, ops.weight
+    rows = list(m._rows)
     pay = [int.from_bytes(p, "big") for p in rhs] if rhs is not None else None
-    plen = len(rhs[0]) if rhs else 0
     perm = list(range(m.rows))
     pivot = 0
     for col in range(m.cols):
         if pivot >= m.rows:
             break
-        mask = 1 << col
-        hit = -1
-        for r in range(pivot, m.rows):
-            if rows[r] & mask:
-                hit = r
-                break
-        if hit < 0:
+        hits = column(rows, col, pivot, m.rows)
+        if not hits:
             continue
+        hit, lead = hits[0]
         if hit != pivot:
             rows[pivot], rows[hit] = rows[hit], rows[pivot]
             perm[pivot], perm[hit] = perm[hit], perm[pivot]
@@ -326,70 +323,29 @@ def _triangularize_gf2(m, counter, rhs):
                 pay[pivot], pay[hit] = pay[hit], pay[pivot]
             counter.row_swap_count += 1
         prow = rows[pivot]
-        for r in range(pivot + 1, m.rows):
-            if rows[r] & mask:
-                rows[r] ^= prow
-                if pay is not None:
-                    pay[r] ^= pay[pivot]
-                counter.row_xor_count += 1
-        pivot += 1
-    echelon = FieldMatrix(m.spec, m.rows, m.cols, _bits=rows)
-    out_rhs = [p.to_bytes(plen, "big") for p in pay] if pay is not None else None
-    return Triangularization(echelon, tuple(perm), pivot, out_rhs)
-
-
-def _triangularize_gfq(m, counter, rhs):
-    gf = field(m.spec)
-    rows = m.to_rows()
-    pay = [bytes(p) for p in rhs] if rhs is not None else None
-    perm = list(range(m.rows))
-    pivot = 0
-    for col in range(m.cols):
-        if pivot >= m.rows:
-            break
-        hit = -1
-        for r in range(pivot, m.rows):
-            if rows[r][col]:
-                hit = r
-                break
-        if hit < 0:
-            continue
-        if hit != pivot:
-            rows[pivot], rows[hit] = rows[hit], rows[pivot]
-            perm[pivot], perm[hit] = perm[hit], perm[pivot]
-            if pay is not None:
-                pay[pivot], pay[hit] = pay[hit], pay[pivot]
-            counter.row_swap_count += 1
-        prow = rows[pivot]
-        lead = prow[col]
         if lead != 1:
             inv = gf.inv(lead)
-            for j in range(col, m.cols):
-                if prow[j]:
-                    prow[j] = gf.mul(inv, prow[j])
-                    counter.symbol_mul_count += 1
+            prow = rows[pivot] = ops.scale(prow, inv)
+            counter.symbol_mul_count += weight(prow)
             if pay is not None:
-                counter.symbol_mul_count += len(pay[pivot])
-                pay[pivot] = scale_bytes(gf, inv, pay[pivot])
+                counter.symbol_mul_count += plen
+                pay[pivot] = mul_int(gf, inv, pay[pivot].to_bytes(plen, "big"))
             counter.row_scale_count += 1
-        for r in range(pivot + 1, m.rows):
-            factor = rows[r][col]
-            if not factor:
-                continue
-            rrow = rows[r]
-            for j in range(col, m.cols):
-                if prow[j]:
-                    rrow[j] ^= gf.mul(factor, prow[j])
-                    if factor != 1:
-                        counter.symbol_mul_count += 1
+        if pay is not None:
+            ppay = pay[pivot]
+            ppay_bytes = ppay.to_bytes(plen, "big")
+        pweight = weight(prow) + plen
+        for r, factor in hits[1:]:
+            rows[r] = addmul(rows[r], factor, prow)
+            if factor != 1:
+                counter.symbol_mul_count += pweight
             if pay is not None:
-                if factor != 1:
-                    counter.symbol_mul_count += len(pay[r])
-                pay[r] = addmul_bytes(gf, pay[r], factor, pay[pivot])
+                pay[r] ^= ppay if factor == 1 else mul_int(gf, factor, ppay_bytes)
             counter.row_xor_count += 1
         pivot += 1
-    echelon = FieldMatrix.from_rows(m.spec, rows)
-    return Triangularization(echelon, tuple(perm), pivot, pay)
+    echelon = FieldMatrix(m.spec, m.cols, rows)
+    out_rhs = [p.to_bytes(plen, "big") for p in pay] if pay is not None else None
+    return Triangularization(echelon, tuple(perm), pivot, out_rhs)
 
 
 def back_substitute(
@@ -410,51 +366,37 @@ def back_substitute(
         raise ValueError("back substitution needs a square matrix")
     if len(rhs) != n:
         raise ValueError("rhs row count must match matrix rows")
-    for i in range(n):
-        if u.get(i, i) == 0:
-            nz = sum(1 for t in range(n) if u.get(t, t) != 0)
-            raise SingularMatrixError(f"zero diagonal at row {i}", rank=nz)
+    plen = _payload_len(rhs)
+    ops, gf, rows = u._ops, field(u.spec), u._rows
+    diag = [ops.get(row, i) for i, row in enumerate(rows)]
+    if 0 in diag:
+        raise SingularMatrixError(
+            f"zero diagonal at row {diag.index(0)}", rank=n - diag.count(0)
+        )
 
-    if u.spec.m == 1:
-        plen = len(rhs[0]) if n else 0
-        acc = [int.from_bytes(p, "big") for p in rhs]
-        x: list[int] = [0] * n
-        bits = u._bits if u._bits is not None else [_pack_bits(r) for r in u.to_rows()]
-        for i in range(n - 1, -1, -1):
-            v = acc[i]
-            row = bits[i] >> (i + 1)
-            j = i + 1
-            while row:
-                if row & 1:
-                    v ^= x[j]
-                    counter.row_xor_count += 1
-                row >>= 1
-                j += 1
-            x[i] = v
-            counter.resolve_count += 1
-        return [xi.to_bytes(plen, "big") for xi in x]
-
-    # Each unknown is accumulated on one int, one `mul_int` per term.
-    gf = field(u.spec)
+    # Column by column from the last unknown: once x_i is known it is
+    # folded into every row above that uses it.  Each row's pending value
+    # is one int: one XOR per coefficient 1, one `mul_int` per other one.
+    acc = [int.from_bytes(p, "big") for p in rhs]
     xs: list[bytes] = [b""] * n
     for i in range(n - 1, -1, -1):
-        plen = len(rhs[i])
-        v = int.from_bytes(rhs[i], "big")
-        for j, c in u.row_support(i):
-            if j <= i:
-                continue
-            if c != 1:
-                counter.symbol_mul_count += plen
-            v ^= mul_int(gf, c, xs[j])
-            counter.row_xor_count += 1
-        x = v.to_bytes(plen, "big")
-        d = u.get(i, i)
+        value = acc[i]
+        x = value.to_bytes(plen, "big")
+        d = diag[i]
         if d != 1:
             counter.symbol_mul_count += plen
             x = scale_bytes(gf, gf.inv(d), x)
+            value = int.from_bytes(x, "big")
             counter.row_scale_count += 1
         xs[i] = x
         counter.resolve_count += 1
+        for r, c in ops.column(rows, i, 0, i):
+            if c == 1:
+                acc[r] ^= value
+            else:
+                counter.symbol_mul_count += plen
+                acc[r] ^= mul_int(gf, c, x)
+            counter.row_xor_count += 1
     return xs
 
 
@@ -483,88 +425,18 @@ def solve(
             f"matrix rank {tri.rank} < {m.cols}", rank=tri.rank
         )
     n = m.cols
-    if m.rows == n:
-        square, srhs = tri.matrix, tri.rhs
-    elif tri.matrix._bits is not None:
-        square = FieldMatrix(m.spec, n, n, _bits=tri.matrix._bits[:n])
-        srhs = tri.rhs[:n]
-    else:
-        square = FieldMatrix.from_rows(m.spec, tri.matrix.to_rows()[:n])
-        srhs = tri.rhs[:n]
-    return back_substitute(square, srhs, counter)
+    square = FieldMatrix(m.spec, n, tri.matrix._rows[:n])
+    return back_substitute(square, tri.rhs[:n], counter)
 
 
 def invert(m: FieldMatrix, counter: Optional[OpCounter] = None) -> FieldMatrix:
-    """Inverse over the field; raises SingularMatrixError with achieved rank."""
+    """Inverse over the field; raises SingularMatrixError with achieved rank.
+
+    Solves m X = I with the identity rows as payloads, one byte per
+    symbol, so row j of the solution is row j of the inverse.
+    """
     if m.rows != m.cols:
         raise ValueError("inversion needs a square matrix")
-    counter = counter if counter is not None else OpCounter()
     n = m.rows
-    if m.spec.m == 1:
-        rows = [r | (1 << (n + i)) for i, r in enumerate(
-            m._bits if m._bits is not None else [_pack_bits(r) for r in m.to_rows()]
-        )]
-        # Gauss-Jordan on [A | I].
-        pivot = 0
-        for col in range(n):
-            hit = -1
-            for r in range(pivot, n):
-                if rows[r] & (1 << col):
-                    hit = r
-                    break
-            if hit < 0:
-                continue
-            if hit != pivot:
-                rows[pivot], rows[hit] = rows[hit], rows[pivot]
-                counter.row_swap_count += 1
-            mask = 1 << col
-            for r in range(n):
-                if r != pivot and rows[r] & mask:
-                    rows[r] ^= rows[pivot]
-                    counter.row_xor_count += 1
-            pivot += 1
-        if pivot < n:
-            raise SingularMatrixError(f"matrix rank {pivot} < {n}", rank=pivot)
-        inv_bits = [r >> n for r in rows]
-        return FieldMatrix(m.spec, n, n, _bits=inv_bits)
-
-    gf = field(m.spec)
-    rows = [r + [int(i == j) for j in range(n)] for i, r in enumerate(m.to_rows())]
-    pivot = 0
-    for col in range(n):
-        hit = -1
-        for r in range(pivot, n):
-            if rows[r][col]:
-                hit = r
-                break
-        if hit < 0:
-            continue
-        if hit != pivot:
-            rows[pivot], rows[hit] = rows[hit], rows[pivot]
-            counter.row_swap_count += 1
-        prow = rows[pivot]
-        lead = prow[col]
-        if lead != 1:
-            inv_lead = gf.inv(lead)
-            for j in range(2 * n):
-                if prow[j]:
-                    prow[j] = gf.mul(inv_lead, prow[j])
-                    counter.symbol_mul_count += 1
-            counter.row_scale_count += 1
-        for r in range(n):
-            if r == pivot:
-                continue
-            factor = rows[r][col]
-            if not factor:
-                continue
-            rrow = rows[r]
-            for j in range(2 * n):
-                if prow[j]:
-                    rrow[j] ^= gf.mul(factor, prow[j])
-                    if factor != 1:
-                        counter.symbol_mul_count += 1
-            counter.row_xor_count += 1
-        pivot += 1
-    if pivot < n:
-        raise SingularMatrixError(f"matrix rank {pivot} < {n}", rank=pivot)
-    return FieldMatrix.from_rows(m.spec, [r[n:] for r in rows])
+    identity = [bytes(int(i == j) for j in range(n)) for i in range(n)]
+    return FieldMatrix.from_rows(m.spec, solve(m, identity, counter))

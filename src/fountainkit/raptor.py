@@ -296,9 +296,7 @@ def inactivation_decode(
     peeled_rank = n - t
     if t:
         live = [(mask, const) for mask, const in core_rows if mask]
-        core = FieldMatrix(
-            GF2, len(live), t, _bits=[mask for mask, _ in live]
-        )
+        core = FieldMatrix(GF2, t, [mask for mask, _ in live])
         rhs = [const.to_bytes(packet_len, "big") for _, const in live]
         try:
             xs = solve(core, rhs, counter)
@@ -401,7 +399,7 @@ def dense_ge_decode(
             row |= 1 << u
         bits.append(row)
         rhs.append(const.to_bytes(packet_len, "big"))
-    m = FieldMatrix(GF2, len(bits), n, _bits=bits)
+    m = FieldMatrix(GF2, n, bits)
     try:
         xs = solve(m, rhs, counter)
     except SingularMatrixError:

@@ -178,3 +178,30 @@ class TestMixedPacketLength:
         assert "B=327" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["lt", "raptor"])
+    @pytest.mark.parametrize("first_b,rest_b", [(1251, 313), (313, 1251)])
+    def test_spliced_fountain_stream_is_decode_failure(
+        self, scheme, first_b, rest_b, tmp_path, capsys
+    ):
+        # The first frame of one encoding spliced onto the frames of the same
+        # file at another B: refused at the stream boundary with exit 1, in
+        # either order, with no traceback and no output file.
+        src = tmp_path / "input.bin"
+        src.write_bytes(random.Random(3).randbytes(20_000))
+        frames = {}
+        for b in (first_b, rest_b):
+            stream = tmp_path / f"b{b}.ec"
+            assert run("encode", src, stream, "--scheme", scheme, "--k", 64,
+                       "--b", b, "--seed", 5) == 0
+            frames[b] = list(read_stream(stream.read_bytes()))
+        mixed = tmp_path / "mixed.ec"
+        mixed.write_bytes(write_stream(frames[first_b][:1] + frames[rest_b]))
+        out = tmp_path / "mixed.out"
+        capsys.readouterr()
+        assert run("decode", mixed, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("decode failed:")
+        assert f"B={rest_b}" in err
+        assert "Traceback" not in err
+        assert not out.exists()

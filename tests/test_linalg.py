@@ -6,14 +6,14 @@ import pytest
 
 from fountainkit.core import linear_combine
 from fountainkit.errors import SingularMatrixError
-from fountainkit.gf import GF2, GF256, field
+from fountainkit.gf import GF2, GF256, FieldSpec, field
 from fountainkit.linalg import (
     FieldMatrix,
     OpCounter,
-    addmul_bytes,
     back_substitute,
     invert,
     rank,
+    row_ops,
     scale_bytes,
     solve,
     triangularize,
@@ -248,50 +248,43 @@ class TestSolve:
 
 
 class TestRepresentations:
-    def test_sparse_selected_below_threshold(self):
-        rows = [[0] * 9 + [5]] + [[0] * 10 for _ in range(9)]
-        m = FieldMatrix.from_rows(GF256, rows)
-        assert m.is_sparse
-        assert m.to_rows() == rows
-
-    def test_dense_selected_above_threshold(self):
-        m = FieldMatrix.from_rows(GF256, [[1, 2], [3, 4]])
-        assert not m.is_sparse
-
     def test_gf2_always_bit_packed(self):
-        m = bits([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
-        assert m.is_bit_packed
+        ops = row_ops(GF2)
+        assert ops.pack([0, 0, 1]) == 0b100
+        assert ops.unpack(0b100, 3) == [0, 0, 1]
+        assert bits([[0, 0, 1], [0, 0, 0], [1, 0, 0]]).get(0, 2) == 1
 
     def test_conversion_round_trip(self):
         rng = random.Random(15)
-        rows = [
-            [rng.randrange(256) if rng.random() < 0.1 else 0 for _ in range(12)]
-            for _ in range(12)
-        ]
-        sparse = FieldMatrix.from_rows(GF256, rows, sparse_threshold=0.5)
-        dense = FieldMatrix.from_rows(GF256, rows, sparse_threshold=0.0)
-        assert sparse.is_sparse and not dense.is_sparse
-        assert sparse == dense
-        assert sparse.to_rows() == dense.to_rows() == rows
-
-    def test_sparse_rows_sorted_no_zeros(self):
-        rows = [[0, 7, 0, 0, 0, 0, 0, 9], [0] * 8]
-        m = FieldMatrix.from_rows(GF256, rows)
-        support = m.row_support(0)
-        assert support == [(1, 7), (7, 9)]
-        assert m.row_support(1) == []
-
-    def test_elimination_agrees_across_representations(self):
-        rng = random.Random(16)
-        for _ in range(20):
+        for spec in (GF2, GF256):
             rows = [
-                [rng.randrange(256) if rng.random() < 0.2 else 0 for _ in range(6)]
-                for _ in range(6)
+                [rng.randrange(spec.order) if rng.random() < 0.3 else 0 for _ in range(12)]
+                for _ in range(12)
             ]
-            sparse = FieldMatrix.from_rows(GF256, rows, sparse_threshold=0.99)
-            dense = FieldMatrix.from_rows(GF256, rows, sparse_threshold=0.0)
-            assert triangularize(sparse).rank == triangularize(dense).rank
-            assert triangularize(sparse).matrix == triangularize(dense).matrix
+            m = FieldMatrix.from_rows(spec, rows)
+            assert m.to_rows() == rows
+            assert m == FieldMatrix.from_rows(spec, m.to_rows())
+            assert [m.get(i, j) for i in range(12) for j in range(12)] == sum(rows, [])
+
+    def test_other_fields_rejected(self):
+        g16 = FieldSpec(m=4, modulus=0b10011, generator=2)
+        with pytest.raises(ValueError):
+            FieldMatrix.from_rows(g16, [[1, 2], [3, 4]])
+
+
+class TestRhsLength:
+    """Payload rows of unequal length are rejected, not silently combined."""
+
+    @pytest.mark.parametrize("spec", [GF2, GF256], ids=["gf2", "gf256"])
+    @pytest.mark.parametrize("rhs", [[b"abc", b"de"], [b"de", b"abc"]], ids=["long-first", "short-first"])
+    def test_solve_rejects_ragged_rhs(self, spec, rhs):
+        m = FieldMatrix.from_rows(spec, [[1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="equal length"):
+            solve(m, rhs)
+        with pytest.raises(ValueError, match="equal length"):
+            triangularize(m, rhs=rhs)
+        with pytest.raises(ValueError, match="equal length"):
+            back_substitute(m, rhs)
 
 
 KERNEL_COEFFICIENTS = (0, 1, 2, 0x8E, 0xFF)
@@ -318,7 +311,7 @@ class TestRowKernels:
         for size in (1, 7, 1024):
             acc, a = rng.randbytes(size), rng.randbytes(size)
             expected = bytes(x ^ y for x, y in zip(acc, per_byte_scale(c, a)))
-            assert addmul_bytes(field(GF256), acc, c, a) == expected
+            assert row_ops(GF256).addmul(acc, c, a) == expected
 
     @pytest.mark.parametrize("c", KERNEL_COEFFICIENTS)
     def test_linear_combine(self, c):
@@ -335,4 +328,4 @@ class TestRowKernels:
         # The int accumulators must not drop leading zero bytes.
         packets = [b"\x00\x00\x05", b"\x00\x00\x07"]
         assert linear_combine(packets, [1, 1], GF256) == b"\x00\x00\x02"
-        assert addmul_bytes(field(GF256), b"\x00\x01", 2, b"\x00\x00") == b"\x00\x01"
+        assert row_ops(GF256).addmul(b"\x00\x01", 2, b"\x00\x00") == b"\x00\x01"
