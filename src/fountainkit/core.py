@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import SchemeMismatchError
+from .errors import PacketFormatError, SchemeMismatchError
 from .gf import FieldSpec, field
 from .linalg import FieldMatrix, OpCounter, back_substitute, mul_int, row_ops
 from .prng import SplitMix64
@@ -146,6 +146,25 @@ def regenerate_neighbors(seed: int, degree: int, n: int) -> list[int]:
     return SplitMix64(seed).sample_distinct(n, degree)
 
 
+def check_packet(
+    packet: CodedPacket, k: int, packet_len: int, *schemes: SchemeId
+) -> None:
+    """Raise SchemeMismatchError unless the packet has one of `schemes`,
+    this k, and B = `packet_len` in both its header and its payload."""
+    if packet.scheme not in schemes:
+        expected = " or ".join(s.name for s in schemes)
+        raise SchemeMismatchError(
+            f"decoder expects {expected}, got {packet.scheme.name}"
+        )
+    if packet.k != k:
+        raise SchemeMismatchError(f"decoder expects k={k}, packet has k={packet.k}")
+    if packet.packet_len != packet_len or len(packet.payload) != packet_len:
+        raise SchemeMismatchError(
+            f"decoder expects B={packet_len}, packet has B={packet.packet_len} "
+            f"and a {len(packet.payload)}-byte payload"
+        )
+
+
 class DecodeStatus(IntEnum):
     NEEDS_MORE = 0
     DECODABLE = 1
@@ -193,19 +212,7 @@ class LinearDecoder:
         return self.accepted_count
 
     def ingest(self, packet: CodedPacket) -> DecodeStatus:
-        if packet.scheme != self.scheme:
-            raise SchemeMismatchError(
-                f"decoder expects {self.scheme.name}, got {packet.scheme.name}"
-            )
-        if packet.k != self.k:
-            raise SchemeMismatchError(
-                f"decoder expects k={self.k}, packet has k={packet.k}"
-            )
-        if packet.packet_len != self.packet_len or len(packet.payload) != self.packet_len:
-            raise SchemeMismatchError(
-                f"decoder expects B={self.packet_len}, packet has B={packet.packet_len} "
-                f"and a {len(packet.payload)}-byte payload"
-            )
+        check_packet(packet, self.k, self.packet_len, self.scheme)
         if self.status is DecodeStatus.DECODED:
             self.non_innovative_count += 1
             return self.status
@@ -298,19 +305,20 @@ def packet_support(packet: CodedPacket, n: Optional[int] = None) -> list[int]:
     """Input indices with nonzero GF(2) coefficients, for graph export.
 
     `n` overrides the input count for headers that regenerate neighbor
-    sets (the raptor LT stage runs over k + redundant packets).
+    sets (the raptor LT stage runs over k + redundant packets).  A degree
+    outside 1..n is a malformed header and raises PacketFormatError.
     """
     h = packet.header
     if isinstance(h, CoefficientVector):
         if any(c > 1 for c in h.coefficients):
             raise SchemeMismatchError("non-binary coefficients have no Tanner graph")
         return [j for j, c in enumerate(h.coefficients) if c]
-    if isinstance(h, RaptorSeed):
-        total = n if n is not None else packet.k + h.redundant_count
-        return sorted(regenerate_neighbors(h.seed, h.degree, total))
-    if isinstance(h, SeedDegree):
-        total = n if n is not None else packet.k
-        return sorted(regenerate_neighbors(h.seed, h.degree, total))
+    if isinstance(h, (RaptorSeed, SeedDegree)):
+        if n is None:
+            n = packet.k + (h.redundant_count if isinstance(h, RaptorSeed) else 0)
+        if not 1 <= h.degree <= n:
+            raise PacketFormatError(f"degree {h.degree} outside 1..{n}")
+        return sorted(regenerate_neighbors(h.seed, h.degree, n))
     raise SchemeMismatchError(
         f"{packet.scheme.name} packets are not binary linear codes"
     )

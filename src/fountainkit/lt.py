@@ -25,6 +25,7 @@ from .core import (
     InputBlock,
     SchemeId,
     SeedDegree,
+    check_packet,
     packet_support,
     regenerate_neighbors,
 )
@@ -192,6 +193,10 @@ class PeelingDecoder:
     XOR the decoded neighbors already substituted out of it.
     """
 
+    # GF(2) random linear packets peel too: their coefficient vectors are
+    # neighbor sets.
+    schemes = (SchemeId.LT, SchemeId.RL)
+
     def __init__(self, k: int, packet_len: int):
         self.k = k
         self.packet_len = packet_len
@@ -215,6 +220,7 @@ class PeelingDecoder:
         return len(self._ripple)
 
     def ingest(self, packet: CodedPacket) -> DecodeStatus:
+        check_packet(packet, self.k, self.packet_len, *self.schemes)
         support = packet_support(packet, self.k)
         payload = int.from_bytes(packet.payload, "big")
         self.packets_seen += 1

@@ -52,12 +52,25 @@ class SplitMix64:
         if count > n:
             raise ValueError(f"cannot draw {count} distinct values from range({n})")
         picked: list[int] = []
+        if count <= 0:
+            return picked
+        # The `next_below` rejection loop with the splitmix64 step inlined:
+        # this is the hottest call of every seed-and-degree codec.
         seen: set[int] = set()
+        limit = (1 << 64) - ((1 << 64) % n)
+        gamma, mask, mix1, mix2 = _GAMMA, _MASK64, _MIX1, _MIX2
+        state = self._state
         while len(picked) < count:
-            v = self.next_below(n)
-            if v not in seen:
-                seen.add(v)
-                picked.append(v)
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            v = z ^ (z >> 31)
+            if v < limit:
+                v %= n
+                if v not in seen:
+                    seen.add(v)
+                    picked.append(v)
+        self._state = state
         return picked
 
     def shuffle(self, items: list) -> None:

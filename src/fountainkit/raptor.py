@@ -15,6 +15,13 @@ inactive set; equations whose unknowns are exhausted turn into rows of a
 small dense core, which one Gaussian elimination solves.  The peeled
 expressions are then evaluated.  Work is far below dense elimination on
 the full system whenever the LT stage is sparse.
+
+The decoding state survives a failed attempt: every unknown is then an
+affine expression over the inactive set, so each later packet becomes
+one core row, and the next attempt solves only the small core again.
+`RaptorDecoder` peels each packet in once as it arrives and attempts the
+core solve from the k-th packet on; `inactivation_decode` runs the same
+engine once over a packet list.
 """
 
 from __future__ import annotations
@@ -30,11 +37,12 @@ from .core import (
     InputBlock,
     RaptorSeed,
     SchemeId,
+    check_packet,
     packet_support,
     regenerate_neighbors,
 )
 from .gf import GF2
-from .errors import SchemeMismatchError, SingularMatrixError
+from .errors import PacketFormatError, SchemeMismatchError, SingularMatrixError
 from .linalg import FieldMatrix, OpCounter, solve
 from .lt import DegreeDistribution
 from .prng import SplitMix64
@@ -150,19 +158,26 @@ class InactivationResult:
         return self.block is not None
 
 
+def _header_spec(header, k: int) -> PrecodeSpec:
+    """The precode a packet header announces."""
+    if not isinstance(header, RaptorSeed):
+        raise SchemeMismatchError(
+            "packets without precode headers need an explicit PrecodeSpec"
+        )
+    try:
+        return PrecodeSpec(
+            k=k, redundant_count=header.redundant_count,
+            row_weight=header.row_weight, seed=header.precode_seed,
+        )
+    except ValueError as exc:
+        raise PacketFormatError(f"bad precode header: {exc}") from None
+
+
 def _precode_of(packets: Sequence[CodedPacket]) -> PrecodeSpec:
-    heads = set()
-    for p in packets:
-        h = p.header
-        if not isinstance(h, RaptorSeed):
-            raise SchemeMismatchError(
-                "packets without precode headers need an explicit PrecodeSpec"
-            )
-        heads.add((h.precode_seed, h.redundant_count, h.row_weight))
-    if len(heads) != 1:
+    specs = {_header_spec(p.header, packets[0].k) for p in packets}
+    if len(specs) != 1:
         raise SchemeMismatchError("packets disagree on precode parameters")
-    seed, j, w = heads.pop()
-    return PrecodeSpec(k=packets[0].k, redundant_count=j, row_weight=w, seed=seed)
+    return specs.pop()
 
 
 def _system_rows(
@@ -179,75 +194,43 @@ def _system_rows(
     return rows
 
 
-def inactivation_decode(
-    packets: Sequence[CodedPacket],
-    spec: Optional[PrecodeSpec] = None,
-    counter: Optional[OpCounter] = None,
-) -> InactivationResult:
-    """Peel, inactivate on stalls, solve the dense core, back-substitute.
+class _Inactivation:
+    """Resumable inactivation decoder over one precode system.
+
+    `add` peels each equation in as it arrives; `attempt` inactivates on
+    stalls until every unknown is resolved, solves the dense core and
+    evaluates the block.  After a failed attempt every unknown stays an
+    affine expression over the inactive set, so each later equation
+    becomes one core row through `add`'s substitution and the next
+    attempt only re-solves the core.
 
     The inactivation choice is the unresolved unknown incident to the
     most live equations, ties broken by lowest index, so runs replay
-    deterministically.  A singular core is a failure report, not an
-    exception.  `spec` is read from the packet headers when omitted.
+    deterministically.
     """
-    if not packets:
-        raise ValueError("need at least one packet")
-    counter = counter if counter is not None else OpCounter()
-    if spec is None:
-        spec = _precode_of(packets)
-    k, n = spec.k, spec.intermediate_count
-    packet_len = packets[0].packet_len
 
-    # resolved[u] = (mask over inactive slots, payload constant)
-    resolved: dict[int, tuple[int, int]] = {}
-    inactive: list[int] = []
-    equations: dict[int, list] = {}  # eid -> [unresolved set, const, mask]
-    incidence: list[set[int]] = [set() for _ in range(n)]
-    core_rows: list[tuple[int, int]] = []
-    ripple: deque[int] = deque()
-    next_eid = 0
+    def __init__(self, spec: PrecodeSpec, packet_len: int, counter: OpCounter):
+        self.spec = spec
+        self.packet_len = packet_len
+        self.counter = counter
+        n = spec.intermediate_count
+        # resolved[u] = (mask over inactive slots, payload constant)
+        self.resolved: dict[int, tuple[int, int]] = {}
+        self.unresolved = set(range(n))
+        self.inactive: list[int] = []
+        self.equations: dict[int, list] = {}  # eid -> [unresolved set, const, mask]
+        self.incidence: list[set[int]] = [set() for _ in range(n)]
+        self.core_rows: list[tuple[int, int]] = []  # (mask, const), mask != 0
+        self.ripple: deque[int] = deque()
+        self._next_eid = 0
+        # Parity constraints are known from the spec alone, so they go in
+        # before any packet.
+        for i, srcs in enumerate(parity_sources(spec)):
+            self.add(srcs + [spec.k + i], 0)
 
-    def settle(eid: int) -> None:
-        eq = equations.pop(eid)
-        if eq[2]:
-            core_rows.append((eq[2], eq[1]))
-        # mask 0: redundant equation, nothing to keep
-
-    def propagate(u: int, mask: int, const: int, count_rows: bool) -> None:
-        # Substituting a resolved expression is a row combination; marking
-        # an unknown inactive merely moves its column into the core, so
-        # that propagation is bookkeeping, not row work.
-        resolved[u] = (mask, const)
-        for eid in list(incidence[u]):
-            eq = equations.get(eid)
-            if eq is None:
-                continue
-            eq[0].discard(u)
-            eq[1] ^= const
-            eq[2] ^= mask
-            if count_rows:
-                counter.row_xor_count += 1
-            if len(eq[0]) == 1:
-                ripple.append(eid)
-            elif not eq[0]:
-                settle(eid)
-        incidence[u].clear()
-
-    def drain() -> None:
-        while ripple:
-            eid = ripple.popleft()
-            eq = equations.get(eid)
-            if eq is None or len(eq[0]) != 1:
-                continue
-            (u,) = eq[0]
-            del equations[eid]
-            incidence[u].discard(eid)
-            counter.resolve_count += 1
-            propagate(u, eq[2], eq[1], count_rows=True)
-
-    def add_equation(support, rhs: int) -> None:
-        nonlocal next_eid
+    def add(self, support, rhs: int) -> None:
+        """Substitute the resolved unknowns of one equation and peel."""
+        resolved, counter = self.resolved, self.counter
         remaining = set()
         const, mask = rhs, 0
         for u in support:
@@ -260,110 +243,182 @@ def inactivation_decode(
                 counter.row_xor_count += 1
         if not remaining:
             if mask:
-                core_rows.append((mask, const))
+                self.core_rows.append((mask, const))
+            # mask 0: redundant equation, nothing to keep
             return
-        eid = next_eid
-        next_eid += 1
-        equations[eid] = [remaining, const, mask]
+        eid = self._next_eid
+        self._next_eid += 1
+        self.equations[eid] = [remaining, const, mask]
         for u in remaining:
-            incidence[u].add(eid)
+            self.incidence[u].add(eid)
         if len(remaining) == 1:
-            ripple.append(eid)
-            drain()
+            self.ripple.append(eid)
+            self._drain()
 
-    # Parity constraints are known from the spec alone; packets stream in
-    # afterwards and ingestion stops as soon as peeling completes.
-    for i, srcs in enumerate(parity_sources(spec)):
-        add_equation(srcs + [spec.k + i], 0)
-    drain()
-    for p in packets:
-        if len(resolved) == n:
-            break
-        add_equation(packet_support(p, n), int.from_bytes(p.payload, "big"))
+    def _propagate(self, u: int, mask: int, const: int, count_rows: bool) -> None:
+        # Substituting a resolved expression is a row combination; marking
+        # an unknown inactive merely moves its column into the core, so
+        # that propagation is bookkeeping, not row work.
+        self.resolved[u] = (mask, const)
+        self.unresolved.discard(u)
+        equations = self.equations
+        for eid in list(self.incidence[u]):
+            eq = equations.get(eid)
+            if eq is None:
+                continue
+            eq[0].discard(u)
+            eq[1] ^= const
+            eq[2] ^= mask
+            if count_rows:
+                self.counter.row_xor_count += 1
+            if len(eq[0]) == 1:
+                self.ripple.append(eid)
+            elif not eq[0]:
+                del equations[eid]
+                if eq[2]:
+                    self.core_rows.append((eq[2], eq[1]))
+        self.incidence[u].clear()
 
-    while len(resolved) < n:
-        if ripple:
-            drain()
-        else:
-            # Stall: inactivate the busiest unresolved unknown.
-            candidates = (u for u in range(n) if u not in resolved)
-            u = max(candidates, key=lambda v: (len(incidence[v]), -v))
-            slot = len(inactive)
-            inactive.append(u)
-            propagate(u, 1 << slot, 0, count_rows=False)
+    def _drain(self) -> None:
+        ripple, equations = self.ripple, self.equations
+        while ripple:
+            eid = ripple.popleft()
+            eq = equations.get(eid)
+            if eq is None or len(eq[0]) != 1:
+                continue
+            (u,) = eq[0]
+            del equations[eid]
+            self.incidence[u].discard(eid)
+            self.counter.resolve_count += 1
+            self._propagate(u, eq[2], eq[1], count_rows=True)
 
-    t = len(inactive)
-    peeled_rank = n - t
-    if t:
-        live = [(mask, const) for mask, const in core_rows if mask]
-        core = FieldMatrix(GF2, t, [mask for mask, _ in live])
-        rhs = [const.to_bytes(packet_len, "big") for _, const in live]
-        try:
-            xs = solve(core, rhs, counter)
-        except SingularMatrixError as exc:
-            return InactivationResult(
-                None, tuple(inactive), t, peeled_rank + exc.rank, counter
-            )
-        inactive_values = [int.from_bytes(x, "big") for x in xs]
-    else:
+    def attempt(self) -> InactivationResult:
+        """Inactivate until peeling completes, solve the core, evaluate.
+
+        A singular core is a failure report, not an exception, and leaves
+        the state live for more equations.
+        """
+        incidence, inactive = self.incidence, self.inactive
+        while self.unresolved:
+            if self.ripple:
+                self._drain()
+            else:
+                # Stall: inactivate the busiest unresolved unknown.
+                u = max(self.unresolved, key=lambda v: (len(incidence[v]), -v))
+                slot = len(inactive)
+                inactive.append(u)
+                self._propagate(u, 1 << slot, 0, count_rows=False)
+
+        t = len(inactive)
+        n = self.spec.intermediate_count
+        counter, plen = self.counter, self.packet_len
         inactive_values = []
+        if t:
+            core = FieldMatrix(GF2, t, [mask for mask, _ in self.core_rows])
+            rhs = [const.to_bytes(plen, "big") for _, const in self.core_rows]
+            try:
+                xs = solve(core, rhs, counter)
+            except SingularMatrixError as exc:
+                return InactivationResult(
+                    None, tuple(inactive), t, n - t + exc.rank, counter
+                )
+            inactive_values = [int.from_bytes(x, "big") for x in xs]
 
-    out = []
-    for i in range(k):
-        mask, const = resolved[i]
-        v = const
-        slot = 0
-        while mask:
-            if mask & 1:
-                v ^= inactive_values[slot]
-                counter.row_xor_count += 1
-            mask >>= 1
-            slot += 1
-        out.append(v.to_bytes(packet_len, "big"))
-    return InactivationResult(
-        InputBlock(tuple(out)), tuple(inactive), t, n, counter
-    )
+        out = []
+        for i in range(self.spec.k):
+            mask, v = self.resolved[i]
+            slot = 0
+            while mask:
+                if mask & 1:
+                    v ^= inactive_values[slot]
+                    counter.row_xor_count += 1
+                mask >>= 1
+                slot += 1
+            out.append(v.to_bytes(plen, "big"))
+        return InactivationResult(InputBlock(tuple(out)), tuple(inactive), t, n, counter)
+
+
+def inactivation_decode(
+    packets: Sequence[CodedPacket],
+    spec: Optional[PrecodeSpec] = None,
+    counter: Optional[OpCounter] = None,
+) -> InactivationResult:
+    """Peel, inactivate on stalls, solve the dense core, back-substitute.
+
+    Packets are taken in order until peeling alone resolves every
+    unknown; the rest are not read.  A singular core is a failure report,
+    not an exception.  `spec` is read from the packet headers when omitted.
+    """
+    if not packets:
+        raise ValueError("need at least one packet")
+    counter = counter if counter is not None else OpCounter()
+    if spec is None:
+        spec = _precode_of(packets)
+    n = spec.intermediate_count
+    engine = _Inactivation(spec, packets[0].packet_len, counter)
+    for p in packets:
+        if not engine.unresolved:
+            break
+        engine.add(packet_support(p, n), int.from_bytes(p.payload, "big"))
+    return engine.attempt()
 
 
 class RaptorDecoder:
-    """Incremental wrapper for simulated sessions.
+    """Streaming inactivation decoder for simulated sessions and the CLI.
 
-    Packets accumulate and a batch inactivation decode is attempted once
-    at least k have arrived; the reported operation counts are those of
-    the successful attempt (a streaming decoder would not repeat the
-    abandoned partial work).
+    One `_Inactivation` engine is built on the first packet (precode
+    parameters from its header unless a spec was given) and every packet
+    is peeled into it once.  From the k-th packet on, each packet is
+    followed by one decode attempt; after the first attempt only the small
+    dense core is solved again.  `counter` is the engine's counter, so it
+    holds all the work the session did, failed attempts included.
     """
+
+    scheme = SchemeId.RAPTOR
 
     def __init__(self, k: int, packet_len: int, spec: Optional[PrecodeSpec] = None):
         self.k = k
         self.packet_len = packet_len
         self.counter = OpCounter()
         self.status = DecodeStatus.NEEDS_MORE
+        self.packets_seen = 0
         self._spec = spec
-        self._packets: list[CodedPacket] = []
+        self._engine: Optional[_Inactivation] = None
         self._block: Optional[InputBlock] = None
         self.last_result: Optional[InactivationResult] = None
 
     def ingest(self, packet: CodedPacket) -> DecodeStatus:
-        if packet.k != self.k:
-            raise SchemeMismatchError(
-                f"decoder expects k={self.k}, packet has k={packet.k}"
-            )
-        if self._spec is None and not isinstance(packet.header, RaptorSeed):
-            raise SchemeMismatchError(
-                "packets without precode headers need an explicit PrecodeSpec"
-            )
-        self._packets.append(packet)
+        check_packet(packet, self.k, self.packet_len, self.scheme)
+        spec = self._precode(packet.header)
+        self.packets_seen += 1
         if self.status is not DecodeStatus.NEEDS_MORE:
             return self.status
-        if len(self._packets) >= self.k:
-            result = inactivation_decode(self._packets, self._spec)
+        if self._engine is None:
+            self._engine = _Inactivation(spec, self.packet_len, self.counter)
+        self._engine.add(
+            packet_support(packet, spec.intermediate_count),
+            int.from_bytes(packet.payload, "big"),
+        )
+        if self.packets_seen >= self.k:
+            result = self._engine.attempt()
             self.last_result = result
             if result.success:
                 self._block = result.block
-                self.counter = result.counter
+                self._engine = None
                 self.status = DecodeStatus.DECODABLE
         return self.status
+
+    def _precode(self, header) -> PrecodeSpec:
+        """The decoder's precode, fixed by the first packet's header unless
+        a spec was given; every later precode header must agree with it."""
+        spec = self._spec
+        if spec is None:
+            spec = self._spec = _header_spec(header, self.k)
+        elif isinstance(header, RaptorSeed) and (
+            header.precode_seed, header.redundant_count, header.row_weight
+        ) != (spec.seed, spec.redundant_count, spec.row_weight):
+            raise SchemeMismatchError("packets disagree on precode parameters")
+        return spec
 
     @property
     def rank(self) -> int:

@@ -1,10 +1,12 @@
 """CLI: file round trips, erasure tolerance, exit codes, CSV determinism."""
 
+import dataclasses
 import random
 
 import pytest
 
 from fountainkit.cli import CSV_COLUMNS, main
+from fountainkit.core import SeedDegree
 from fountainkit.wire import read_stream, write_stream
 
 
@@ -203,5 +205,30 @@ class TestMixedPacketLength:
         err = capsys.readouterr().err
         assert err.startswith("decode failed:")
         assert f"B={rest_b}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestOutOfRangeDegree:
+    @pytest.mark.parametrize("degree", [0, 13, 0xFFFF])
+    def test_lt_degree_outside_one_to_k_is_decode_failure(
+        self, degree, sample_file, tmp_path, capsys
+    ):
+        # One frame of a k = 12 LT stream re-headed with a degree no encoder
+        # draws: refused at ingest with exit 1, not a configuration error.
+        stream = tmp_path / "lt.ec"
+        assert run("encode", sample_file, stream, "--scheme", "lt", "--k", 12,
+                   "--seed", 9) == 0
+        frames = list(read_stream(stream.read_bytes()))
+        bad = SeedDegree(frames[1].header.seed, degree)
+        frames[1] = dataclasses.replace(frames[1], header=bad)
+        patched = tmp_path / "patched.ec"
+        patched.write_bytes(write_stream(frames))
+        out = tmp_path / "patched.out"
+        capsys.readouterr()
+        assert run("decode", patched, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("decode failed:")
+        assert f"degree {degree} outside 1..12" in err
         assert "Traceback" not in err
         assert not out.exists()

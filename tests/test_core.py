@@ -1,5 +1,7 @@
-"""Packet model, wire format round trips, rank-tracking ingest, Tanner export."""
+"""Packet model, wire format round trips, rank-tracking ingest, Tanner export,
+and the packet checks every decoder applies."""
 
+import dataclasses
 import random
 
 import pytest
@@ -27,6 +29,8 @@ from fountainkit.errors import (
 )
 from fountainkit.gf import GF2, GF256
 from fountainkit.linalg import FieldMatrix, rank, xor_bytes
+from fountainkit.lt import LTEncoder, PeelingDecoder, robust_soliton
+from fountainkit.raptor import PrecodeSpec, RaptorDecoder, RaptorEncoder
 from fountainkit.wire import deserialize, read_stream, serialize, write_stream
 
 
@@ -264,6 +268,48 @@ class TestLinearDecoder:
             v = tuple(rng.randrange(256) for _ in range(4))
             dec.ingest(coeff_packet(v, linear_combine(blk.packets, v, GF256)))
         assert dec.decode() == blk
+
+
+def fountain(kind, k, b, seed=3):
+    """(decoder, encoder) of an LT or raptor stream over `block(k, b, seed)`."""
+    blk = block(k, b, seed)
+    if kind == "lt":
+        return PeelingDecoder(k, b), LTEncoder(robust_soliton(k, 0.2, 0.5), blk, seed)
+    spec = PrecodeSpec.default(k)
+    dist = robust_soliton(spec.intermediate_count, 0.2, 0.5)
+    return RaptorDecoder(k, b), RaptorEncoder(blk, dist, spec, seed)
+
+
+class TestFountainDecodersRefuseForeignPackets:
+    @pytest.mark.parametrize("kind", ["lt", "raptor"])
+    @pytest.mark.parametrize("mismatch", ["scheme", "k", "B", "payload"])
+    def test_refused_and_decoder_unchanged(self, kind, mismatch):
+        k, b = 16, 8
+        dec, enc = fountain(kind, k, b)
+        dec.ingest(enc.next_packet())
+        good = enc.next_packet()
+        foreign = {
+            "scheme": fountain("raptor" if kind == "lt" else "lt", k, b)[1].next_packet(),
+            "k": fountain(kind, k + 1, b)[1].next_packet(),
+            "B": fountain(kind, k, b + 1)[1].next_packet(),
+            "payload": dataclasses.replace(good, payload=good.payload[:-1]),
+        }[mismatch]
+        with pytest.raises(SchemeMismatchError):
+            dec.ingest(foreign)
+        dec.ingest(good)
+        while dec.status is DecodeStatus.NEEDS_MORE:
+            dec.ingest(enc.next_packet())
+        assert dec.decode() == block(k, b, 3)
+
+    @pytest.mark.parametrize("kind", ["lt", "raptor"])
+    @pytest.mark.parametrize("degree", [0, "n + 1"])
+    def test_degree_outside_range_is_format_error(self, kind, degree):
+        dec, enc = fountain(kind, 16, 8)
+        p = enc.next_packet()
+        n = 16 if kind == "lt" else PrecodeSpec.default(16).intermediate_count
+        header = dataclasses.replace(p.header, degree=n + 1 if degree else 0)
+        with pytest.raises(PacketFormatError, match="degree"):
+            dec.ingest(dataclasses.replace(p, header=header))
 
 
 class TestTannerGraph:

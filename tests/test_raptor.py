@@ -1,5 +1,6 @@
 """Raptor codec: precode, LT stage over the intermediate block, inactivation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,10 +12,12 @@ from fountainkit.core import (
     SchemeId,
     regenerate_neighbors,
 )
+from fountainkit.errors import PacketFormatError, SchemeMismatchError
 from fountainkit.linalg import OpCounter, xor_bytes
 from fountainkit.lt import LTEncoder, robust_soliton
 from fountainkit.raptor import (
     PrecodeSpec,
+    RaptorDecoder,
     RaptorEncoder,
     dense_ge_decode,
     inactivation_decode,
@@ -235,3 +238,28 @@ class TestInactivation:
             raptor_uncovered += k - len(covered_r)
             lt_uncovered += k - len(covered_l)
         assert raptor_uncovered < lt_uncovered
+
+
+class TestDecoderPrecodeHeaders:
+    def _packets(self, precode_seed):
+        spec = PrecodeSpec(k=12, redundant_count=5, row_weight=3, seed=precode_seed)
+        dist = robust_soliton(spec.intermediate_count, 0.2, 0.5)
+        enc = RaptorEncoder(block(12), dist, spec, seed=4)
+        return [enc.next_packet() for _ in range(2)]
+
+    def test_later_packet_with_other_precode_refused(self):
+        dec = RaptorDecoder(12, 4)
+        dec.ingest(self._packets(precode_seed=1)[0])
+        with pytest.raises(SchemeMismatchError, match="precode"):
+            dec.ingest(self._packets(precode_seed=2)[1])
+
+    def test_packet_disagreeing_with_explicit_spec_refused(self):
+        spec = PrecodeSpec(k=12, redundant_count=5, row_weight=3, seed=2)
+        with pytest.raises(SchemeMismatchError, match="precode"):
+            RaptorDecoder(12, 4, spec).ingest(self._packets(precode_seed=1)[0])
+
+    def test_impossible_precode_header_is_format_error(self):
+        p = self._packets(precode_seed=1)[0]
+        bad = dataclasses.replace(p, header=dataclasses.replace(p.header, row_weight=13))
+        with pytest.raises(PacketFormatError, match="precode"):
+            RaptorDecoder(12, 4).ingest(bad)
