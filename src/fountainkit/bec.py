@@ -156,15 +156,10 @@ def make_codec_session(
             "lt", k, b, True, lt_stream, lambda: PeelingDecoder(k, b), block
         )
     if scheme == "raptor":
+        if redundant_count is None:
+            redundant_count = PrecodeSpec.default(k, seed).redundant_count
         pre = PrecodeSpec(
-            k=k,
-            redundant_count=(
-                redundant_count
-                if redundant_count is not None
-                else math.ceil(0.05 * k) + 4
-            ),
-            row_weight=row_weight,
-            seed=seed,
+            k=k, redundant_count=redundant_count, row_weight=row_weight, seed=seed
         )
         r_dist = dist
         if r_dist is None:

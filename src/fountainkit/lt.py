@@ -9,6 +9,11 @@ with a single unknown neighbor and substitutes the result everywhere,
 which is back-substitution on a sparse system: no row scaling, no matrix
 inversion, XOR only.  A stall is a status, not an error; the regular
 fixed-degree configuration doubles as a sparse-parity-code demonstrator.
+
+`Peeler` is the one peeling engine: `PeelingDecoder` runs it over the k
+inputs, and the raptor decoder runs it over the intermediate block with
+inactivation on top.  Each equation's row is one int, payload in the low
+`8·B` bits and raptor's inactive-slot mask above them.
 """
 
 from __future__ import annotations
@@ -186,12 +191,99 @@ class PeelResult:
         return self.block is not None
 
 
-class PeelingDecoder:
-    """Iterative degree-1 resolution with a ripple queue.
+class Peeler:
+    """Sparse XOR peeling over n unknowns with a ripple queue.
 
-    A coded node's residual payload always equals its original payload
-    XOR the decoded neighbors already substituted out of it.
+    Each equation is `[unresolved set, row]`, and `row` is one int: the
+    payload sits in its low `shift` bits and anything above them (raptor's
+    inactive-slot mask) is carried along, so a substitution is one XOR.
+    `value[u]` is the row an unknown resolved to, None while unresolved;
+    an equation's row always equals its original row XOR the values
+    already substituted into it.  An equation left with no unknowns is a
+    core row when it has bits above `shift` and redundant otherwise.
     """
+
+    def __init__(self, n: int, shift: int, counter: OpCounter):
+        self.shift = shift
+        self.counter = counter
+        self.value: list[Optional[int]] = [None] * n
+        self.unresolved = set(range(n))
+        self.equations: dict[int, list] = {}  # eid -> [unresolved set, row]
+        self.incidence: list[set[int]] = [set() for _ in range(n)]
+        self.ripple: deque[int] = deque()
+        self.core_rows: list[int] = []
+        self.redundant = 0
+        self._next_eid = 0
+
+    def add(self, support, row: int) -> None:
+        """Substitute the resolved unknowns of one equation and peel."""
+        value, counter = self.value, self.counter
+        remaining = set()
+        for u in support:
+            v = value[u]
+            if v is None:
+                remaining.add(u)
+            else:
+                row ^= v
+                counter.row_xor_count += 1
+        if not remaining:
+            self._exhausted(row)
+            return
+        eid = self._next_eid
+        self._next_eid += 1
+        self.equations[eid] = [remaining, row]
+        for u in remaining:
+            self.incidence[u].add(eid)
+        if len(remaining) == 1:
+            self.ripple.append(eid)
+            self.drain()
+
+    def _exhausted(self, row: int) -> None:
+        if row >> self.shift:
+            self.core_rows.append(row)
+        else:
+            self.redundant += 1
+
+    def resolve(self, u: int, row: int, count_rows: bool) -> None:
+        """Set unknown u to `row` and substitute it into every live
+        equation.  Substituting a resolved row is a row combination; an
+        inactivated unknown merely moves its column into the core, so the
+        caller passes `count_rows=False` for that bookkeeping."""
+        self.value[u] = row
+        self.unresolved.discard(u)
+        equations, counter = self.equations, self.counter
+        for eid in list(self.incidence[u]):
+            eq = equations[eid]
+            eq[0].discard(u)
+            eq[1] ^= row
+            if count_rows:
+                counter.row_xor_count += 1
+            if len(eq[0]) == 1:
+                self.ripple.append(eid)
+            elif not eq[0]:
+                del equations[eid]
+                self._exhausted(eq[1])
+        self.incidence[u].clear()
+
+    def drain(self) -> None:
+        """Resolve degree-1 equations until the ripple is empty."""
+        ripple, equations = self.ripple, self.equations
+        while ripple:
+            eid = ripple.popleft()
+            eq = equations.get(eid)
+            if eq is None or len(eq[0]) != 1:
+                continue
+            (u,) = eq[0]
+            del equations[eid]
+            self.incidence[u].discard(eid)
+            self.counter.resolve_count += 1
+            self.resolve(u, eq[1], count_rows=True)
+
+
+class PeelingDecoder:
+    """LT decoding by pure peeling: one `Peeler` over the k inputs, whose
+    rows are bare payloads.  Peeling stops at a stall; more packets may
+    restart it."""
 
     # GF(2) random linear packets peel too: their coefficient vectors are
     # neighbor sets.
@@ -203,92 +295,44 @@ class PeelingDecoder:
         self.counter = OpCounter()
         self.status = DecodeStatus.NEEDS_MORE
         self.packets_seen = 0
-        self.redundant_count = 0
-        self._decoded: list[Optional[int]] = [None] * k
-        self._decoded_count = 0
-        self._pending: dict[int, list] = {}  # pid -> [neighbor set, payload int]
-        self._incidence: list[set[int]] = [set() for _ in range(k)]
-        self._ripple: deque[int] = deque()
-        self._next_pid = 0
+        self._late = 0  # packets that arrived after decoding finished
+        self._peeler = Peeler(k, 8 * packet_len, self.counter)
 
     @property
     def decoded_count(self) -> int:
-        return self._decoded_count
+        return self.k - len(self._peeler.unresolved)
 
     @property
-    def ripple_size(self) -> int:
-        return len(self._ripple)
+    def redundant_count(self) -> int:
+        return self._peeler.redundant + self._late
 
     def ingest(self, packet: CodedPacket) -> DecodeStatus:
         check_packet(packet, self.k, self.packet_len, *self.schemes)
         support = packet_support(packet, self.k)
-        payload = int.from_bytes(packet.payload, "big")
         self.packets_seen += 1
         if self.status is not DecodeStatus.NEEDS_MORE:
-            self.redundant_count += 1
+            self._late += 1
             return self.status
-        remaining = set()
-        for i in support:
-            v = self._decoded[i]
-            if v is None:
-                remaining.add(i)
-            else:
-                payload ^= v
-                self.counter.row_xor_count += 1
-        if not remaining:
-            self.redundant_count += 1
-            return self.status
-        pid = self._next_pid
-        self._next_pid += 1
-        self._pending[pid] = [remaining, payload]
-        for i in remaining:
-            self._incidence[i].add(pid)
-        if len(remaining) == 1:
-            self._ripple.append(pid)
-            self._drain()
-        return self.status
-
-    def _drain(self) -> None:
-        while self._ripple:
-            pid = self._ripple.popleft()
-            entry = self._pending.get(pid)
-            if entry is None or len(entry[0]) != 1:
-                continue
-            (i,) = entry[0]
-            value = entry[1]
-            del self._pending[pid]
-            self._incidence[i].discard(pid)
-            self._decoded[i] = value
-            self._decoded_count += 1
-            self.counter.resolve_count += 1
-            for other in list(self._incidence[i]):
-                oentry = self._pending[other]
-                oentry[0].discard(i)
-                oentry[1] ^= value
-                self.counter.row_xor_count += 1
-                if len(oentry[0]) == 1:
-                    self._ripple.append(other)
-                elif not oentry[0]:
-                    del self._pending[other]
-                    self.redundant_count += 1
-            self._incidence[i].clear()
-        if self._decoded_count == self.k:
+        self._peeler.add(support, int.from_bytes(packet.payload, "big"))
+        if not self._peeler.unresolved:
             self.status = DecodeStatus.DECODABLE
+        return self.status
 
     def decode(self) -> InputBlock:
         if self.status is DecodeStatus.NEEDS_MORE:
             raise RuntimeError("peeling has not resolved all inputs")
         block = InputBlock(
-            tuple(v.to_bytes(self.packet_len, "big") for v in self._decoded)
+            tuple(v.to_bytes(self.packet_len, "big") for v in self._peeler.value)
         )
         self.status = DecodeStatus.DECODED
         return block
 
     def stall_report(self) -> StallReport:
+        peeler = self._peeler
         return StallReport(
-            undecoded=tuple(i for i, v in enumerate(self._decoded) if v is None),
-            pending_packets=len(self._pending),
-            decoded_count=self._decoded_count,
+            undecoded=tuple(i for i, v in enumerate(peeler.value) if v is None),
+            pending_packets=len(peeler.equations),
+            decoded_count=self.decoded_count,
         )
 
 

@@ -8,13 +8,16 @@ intermediate block; their headers carry the precode parameters so a
 decoder can rebuild the parity constraints (each parity XOR its sources
 equals zero) without side channels.
 
-Inactivation decoding peels until no 1-sparse equation remains, then
-marks one unresolved unknown inactive (treated as symbolically known) and
-keeps peeling.  Resolved unknowns become affine expressions over the
-inactive set; equations whose unknowns are exhausted turn into rows of a
-small dense core, which one Gaussian elimination solves.  The peeled
-expressions are then evaluated.  Work is far below dense elimination on
-the full system whenever the LT stage is sparse.
+Inactivation decoding peels (with `lt.Peeler`, the LT decoder's engine)
+until no 1-sparse equation remains, then marks one unresolved unknown
+inactive (treated as symbolically known) and keeps peeling.  Resolved
+unknowns become affine expressions over the inactive set, held in one
+int per row: the payload in the low `8·B` bits, the mask over the
+inactive slots above them.  Equations whose unknowns are exhausted with
+a nonzero mask turn into rows of a small dense core, which one Gaussian
+elimination solves.  The peeled expressions are then evaluated.  Work is
+far below dense elimination on the full system whenever the LT stage is
+sparse.
 
 The decoding state survives a failed attempt: every unknown is then an
 affine expression over the inactive set, so each later packet becomes
@@ -27,7 +30,6 @@ engine once over a packet list.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,7 +46,7 @@ from .core import (
 from .gf import GF2
 from .errors import PacketFormatError, SchemeMismatchError, SingularMatrixError
 from .linalg import FieldMatrix, OpCounter, solve
-from .lt import DegreeDistribution
+from .lt import DegreeDistribution, Peeler
 from .prng import SplitMix64
 
 
@@ -69,7 +71,11 @@ class PrecodeSpec:
 
     @classmethod
     def default(cls, k: int, seed: int = 0) -> "PrecodeSpec":
-        return cls(k=k, redundant_count=math.ceil(0.05 * k) + 4, seed=seed)
+        """ceil(0.05k) + 4 parity packets of row weight 3 (k when k < 3)."""
+        return cls(
+            k=k, redundant_count=math.ceil(0.05 * k) + 4, row_weight=min(3, k),
+            seed=seed,
+        )
 
 
 def parity_sources(spec: PrecodeSpec) -> list[list[int]]:
@@ -194,14 +200,14 @@ def _system_rows(
     return rows
 
 
-class _Inactivation:
+class _Inactivation(Peeler):
     """Resumable inactivation decoder over one precode system.
 
-    `add` peels each equation in as it arrives; `attempt` inactivates on
-    stalls until every unknown is resolved, solves the dense core and
-    evaluates the block.  After a failed attempt every unknown stays an
-    affine expression over the inactive set, so each later equation
-    becomes one core row through `add`'s substitution and the next
+    `Peeler` peels; this class loads the parity constraints, inactivates
+    on stalls, solves the core and evaluates the block.  A row's mask
+    sits above its `8·B` payload bits.  After a failed attempt every
+    unknown stays an affine expression over the inactive set, so each
+    later equation becomes one core row through `add` and the next
     attempt only re-solves the core.
 
     The inactivation choice is the unresolved unknown incident to the
@@ -210,87 +216,14 @@ class _Inactivation:
     """
 
     def __init__(self, spec: PrecodeSpec, packet_len: int, counter: OpCounter):
+        super().__init__(spec.intermediate_count, 8 * packet_len, counter)
         self.spec = spec
         self.packet_len = packet_len
-        self.counter = counter
-        n = spec.intermediate_count
-        # resolved[u] = (mask over inactive slots, payload constant)
-        self.resolved: dict[int, tuple[int, int]] = {}
-        self.unresolved = set(range(n))
         self.inactive: list[int] = []
-        self.equations: dict[int, list] = {}  # eid -> [unresolved set, const, mask]
-        self.incidence: list[set[int]] = [set() for _ in range(n)]
-        self.core_rows: list[tuple[int, int]] = []  # (mask, const), mask != 0
-        self.ripple: deque[int] = deque()
-        self._next_eid = 0
         # Parity constraints are known from the spec alone, so they go in
         # before any packet.
         for i, srcs in enumerate(parity_sources(spec)):
             self.add(srcs + [spec.k + i], 0)
-
-    def add(self, support, rhs: int) -> None:
-        """Substitute the resolved unknowns of one equation and peel."""
-        resolved, counter = self.resolved, self.counter
-        remaining = set()
-        const, mask = rhs, 0
-        for u in support:
-            known = resolved.get(u)
-            if known is None:
-                remaining.add(u)
-            else:
-                mask ^= known[0]
-                const ^= known[1]
-                counter.row_xor_count += 1
-        if not remaining:
-            if mask:
-                self.core_rows.append((mask, const))
-            # mask 0: redundant equation, nothing to keep
-            return
-        eid = self._next_eid
-        self._next_eid += 1
-        self.equations[eid] = [remaining, const, mask]
-        for u in remaining:
-            self.incidence[u].add(eid)
-        if len(remaining) == 1:
-            self.ripple.append(eid)
-            self._drain()
-
-    def _propagate(self, u: int, mask: int, const: int, count_rows: bool) -> None:
-        # Substituting a resolved expression is a row combination; marking
-        # an unknown inactive merely moves its column into the core, so
-        # that propagation is bookkeeping, not row work.
-        self.resolved[u] = (mask, const)
-        self.unresolved.discard(u)
-        equations = self.equations
-        for eid in list(self.incidence[u]):
-            eq = equations.get(eid)
-            if eq is None:
-                continue
-            eq[0].discard(u)
-            eq[1] ^= const
-            eq[2] ^= mask
-            if count_rows:
-                self.counter.row_xor_count += 1
-            if len(eq[0]) == 1:
-                self.ripple.append(eid)
-            elif not eq[0]:
-                del equations[eid]
-                if eq[2]:
-                    self.core_rows.append((eq[2], eq[1]))
-        self.incidence[u].clear()
-
-    def _drain(self) -> None:
-        ripple, equations = self.ripple, self.equations
-        while ripple:
-            eid = ripple.popleft()
-            eq = equations.get(eid)
-            if eq is None or len(eq[0]) != 1:
-                continue
-            (u,) = eq[0]
-            del equations[eid]
-            self.incidence[u].discard(eid)
-            self.counter.resolve_count += 1
-            self._propagate(u, eq[2], eq[1], count_rows=True)
 
     def attempt(self) -> InactivationResult:
         """Inactivate until peeling completes, solve the core, evaluate.
@@ -298,24 +231,25 @@ class _Inactivation:
         A singular core is a failure report, not an exception, and leaves
         the state live for more equations.
         """
-        incidence, inactive = self.incidence, self.inactive
+        incidence, inactive, shift = self.incidence, self.inactive, self.shift
         while self.unresolved:
             if self.ripple:
-                self._drain()
+                self.drain()
             else:
                 # Stall: inactivate the busiest unresolved unknown.
                 u = max(self.unresolved, key=lambda v: (len(incidence[v]), -v))
                 slot = len(inactive)
                 inactive.append(u)
-                self._propagate(u, 1 << slot, 0, count_rows=False)
+                self.resolve(u, 1 << (shift + slot), count_rows=False)
 
         t = len(inactive)
         n = self.spec.intermediate_count
         counter, plen = self.counter, self.packet_len
+        low = (1 << shift) - 1
         inactive_values = []
         if t:
-            core = FieldMatrix(GF2, t, [mask for mask, _ in self.core_rows])
-            rhs = [const.to_bytes(plen, "big") for _, const in self.core_rows]
+            core = FieldMatrix(GF2, t, [row >> shift for row in self.core_rows])
+            rhs = [(row & low).to_bytes(plen, "big") for row in self.core_rows]
             try:
                 xs = solve(core, rhs, counter)
             except SingularMatrixError as exc:
@@ -325,8 +259,8 @@ class _Inactivation:
             inactive_values = [int.from_bytes(x, "big") for x in xs]
 
         out = []
-        for i in range(self.spec.k):
-            mask, v = self.resolved[i]
+        for row in self.value[: self.spec.k]:
+            mask, v = row >> shift, row & low
             slot = 0
             while mask:
                 if mask & 1:

@@ -14,8 +14,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import CodedPacket, InputBlock, LinearDecoder, RowIndex, SchemeId, linear_combine
-from .errors import DuplicatePacketError, InsufficientPacketsError
+from .core import (
+    CodedPacket,
+    InputBlock,
+    LinearDecoder,
+    RowIndex,
+    SchemeId,
+    check_packet,
+    linear_combine,
+)
+from .errors import DuplicatePacketError, InsufficientPacketsError, SchemeMismatchError
 from .gf import GF256, FieldSpec, field
 from .linalg import FieldMatrix, OpCounter, invert, solve
 
@@ -110,7 +118,18 @@ def rs_decode(
     vspec: VandermondeSpec,
     counter: Optional[OpCounter] = None,
 ) -> InputBlock:
-    """Exact recovery from any k packets with distinct row indices."""
+    """Exact recovery from any k packets with distinct row indices.
+
+    Every packet must be an RS packet with the spec's k, a row-index
+    header and the first packet's B; anything else raises
+    SchemeMismatchError rather than decoding to a wrong block.
+    """
+    for p in packets:
+        check_packet(p, vspec.k, packets[0].packet_len, SchemeId.RS)
+        if not isinstance(p.header, RowIndex):
+            raise SchemeMismatchError(
+                f"RS packets carry row-index headers, got {type(p.header).__name__}"
+            )
     seen: set[int] = set()
     chosen: list[CodedPacket] = []
     for p in packets:

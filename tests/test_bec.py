@@ -19,6 +19,7 @@ from fountainkit.core import (
     SchemeId,
 )
 from fountainkit.linalg import xor_bytes
+from fountainkit.raptor import PrecodeSpec
 from fountainkit.rl import rl_success_probability
 
 
@@ -78,6 +79,16 @@ class TestCodedSessions:
         assert a.per_client_received == b.per_client_received
         assert a.per_client_useful == b.per_client_useful
         assert a.op_counter == b.op_counter
+
+    def test_raptor_precode_defaults_to_the_spec_default(self):
+        blk = block(40, seed=4)
+        header = next(make_codec_session("raptor", blk, seed=9).stream_factory()).header
+        default = PrecodeSpec.default(40, seed=9)
+        assert (header.redundant_count, header.precode_seed) == (
+            default.redundant_count, default.seed,
+        )
+        custom = make_codec_session("raptor", blk, seed=9, redundant_count=3)
+        assert next(custom.stream_factory()).header.redundant_count == 3
 
     def test_every_scheme_survives_loss(self):
         blk = block(8, seed=4)

@@ -59,6 +59,7 @@ class TestPrecode:
         spec = PrecodeSpec.default(64)
         assert spec.redundant_count == 8  # ceil(0.05 * 64) + 4
         assert spec.row_weight == 3
+        assert PrecodeSpec.default(2).row_weight == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):

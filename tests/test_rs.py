@@ -3,11 +3,16 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from fountainkit.core import DecodeStatus, InputBlock
-from fountainkit.errors import DuplicatePacketError, InsufficientPacketsError
+from fountainkit.core import CoefficientVector, DecodeStatus, InputBlock
+from fountainkit.errors import (
+    DuplicatePacketError,
+    InsufficientPacketsError,
+    SchemeMismatchError,
+)
 from fountainkit.gf import GF256, field
 from fountainkit.linalg import OpCounter, xor_bytes
 from fountainkit.rs import (
@@ -95,6 +100,19 @@ class TestDecode:
         vs = VandermondeSpec.default(3, 5)
         with pytest.raises(InsufficientPacketsError):
             rs_decode(rs_encode(blk, vs)[:2], vs)
+
+    def test_packets_of_another_k_rejected(self):
+        # k = 4 packets under a k = 3 spec used to decode to 3 wrong packets.
+        packets = rs_encode(block(4, seed=6), VandermondeSpec.default(4, 6))
+        with pytest.raises(SchemeMismatchError):
+            rs_decode(packets, VandermondeSpec.default(3, 6))
+
+    def test_header_without_row_index_rejected(self):
+        vs = VandermondeSpec.default(3, 5)
+        packets = rs_encode(block(3, seed=7), vs)
+        packets[1] = replace(packets[1], header=CoefficientVector((1, 0, 0)))
+        with pytest.raises(SchemeMismatchError):
+            rs_decode(packets, vs)
 
     def test_systematic_subset_needs_no_multiplication(self):
         blk = block(3, seed=5)
