@@ -21,7 +21,18 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .core import CodedPacket, DecodeStatus, InputBlock
+from .core import (
+    CodedPacket,
+    CoefficientVector,
+    DecodeStatus,
+    InputBlock,
+    RaptorSeed,
+    RowIndex,
+    SchemeId,
+    SeedDegree,
+    ShiftList,
+)
+from .errors import PacketFormatError, SchemeMismatchError
 from .gf import GF2, GF256
 from .linalg import OpCounter
 from .lt import DegreeDistribution, LTEncoder, PeelingDecoder, robust_soliton
@@ -29,8 +40,11 @@ from .prng import SplitMix64
 from .raptor import PrecodeSpec, RaptorDecoder, RaptorEncoder
 from .rl import RlConfig, RlEncoder
 from .rl import make_decoder as rl_make_decoder
-from .rs import VandermondeSpec, make_decoder as rs_make_decoder, rs_encode
+from .rs import MAX_ROWS, VandermondeSpec, make_decoder as rs_make_decoder, rs_encode
 from .triangular import BitSubstitutionDecoder, planned_shift_stream, tri_encode
+
+#: Scheme names, as the CLI and `make_codec_session` take them.
+SCHEMES = tuple(s.name.lower() for s in SchemeId)
 
 _ACK_STREAM_SALT = 0xAC4AC4AC4AC4AC4A
 
@@ -186,6 +200,36 @@ def make_codec_session(
             lambda: BitSubstitutionDecoder(k, b), block,
         )
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def decoder_for(frame: CodedPacket):
+    """A fresh decoder for the stream that `frame` belongs to.
+
+    A frame carries everything its decoder needs: scheme, k and B, and in
+    its header the RS generator (plain or systematic), the RL field and
+    the raptor precode.  An RS decoder spans all `MAX_ROWS` rows, since
+    row j is the same for every n > j.  A header of another shape than
+    the scheme's raises SchemeMismatchError.
+    """
+    k, b, h = frame.k, frame.packet_len, frame.header
+    scheme = frame.scheme
+    if scheme is SchemeId.RS and isinstance(h, RowIndex):
+        if k > MAX_ROWS:
+            raise PacketFormatError(
+                f"RS frame with k={k} above the {MAX_ROWS} rows of GF(256)"
+            )
+        return rs_make_decoder(VandermondeSpec.default(k, MAX_ROWS, h.systematic), b)
+    if scheme is SchemeId.RL and isinstance(h, CoefficientVector):
+        return rl_make_decoder(RlConfig(h.spec, k), b)
+    if scheme is SchemeId.LT and isinstance(h, SeedDegree):
+        return PeelingDecoder(k, b)
+    if scheme is SchemeId.RAPTOR and isinstance(h, RaptorSeed):
+        return RaptorDecoder(k, b)
+    if scheme is SchemeId.TRIANGULAR and isinstance(h, ShiftList):
+        return BitSubstitutionDecoder(k, b)
+    raise SchemeMismatchError(
+        f"{scheme.name} frames do not carry {type(h).__name__} headers"
+    )
 
 
 class Session:

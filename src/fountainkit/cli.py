@@ -23,31 +23,26 @@ error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
 import time
 from typing import Optional, Sequence
 
-from .bec import ChannelSpec, Session, make_codec_session, run_arq_baseline
-from .core import (
-    CoefficientVector,
-    DecodeStatus,
-    InputBlock,
-    LinearDecoder,
-    RaptorSeed,
-    SchemeId,
-    SeedDegree,
-    ShiftList,
+from .bec import (
+    SCHEMES,
+    ChannelSpec,
+    Session,
+    decoder_for,
+    make_codec_session,
+    run_arq_baseline,
 )
+from .core import DecodeStatus, InputBlock
 from .errors import PacketFormatError, SchemeMismatchError, SingularMatrixError
-from .gf import GF2, GF256
-from .lt import PeelingDecoder
+from .gf import GF2
 from .prng import SplitMix64
-from .raptor import RaptorDecoder
 from .rl import rl_success_probability
-from .rs import VandermondeSpec, coding_row
-from .triangular import BitSubstitutionDecoder
 from .wire import read_stream, write_stream
 
 EXIT_OK = 0
@@ -59,8 +54,6 @@ CSV_COLUMNS = (
     "scheme,k,B,N,loss_prob,trials,mean_overhead,p95_overhead,"
     "fail_rate,row_xor,sym_mul,wall_ms,seed"
 )
-
-SCHEMES = ("rs", "rl", "lt", "raptor", "triangular")
 
 _MASK64 = (1 << 64) - 1
 
@@ -137,27 +130,6 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _decoder_for_stream(packets, args):
-    first = packets[0]
-    k, b = first.k, first.packet_len
-    if isinstance(first.header, RaptorSeed):
-        return RaptorDecoder(k, b)
-    if isinstance(first.header, SeedDegree):
-        return PeelingDecoder(k, b)
-    if isinstance(first.header, ShiftList):
-        return BitSubstitutionDecoder(k, b)
-    if isinstance(first.header, CoefficientVector):
-        binary = all(
-            c <= 1 for p in packets for c in p.header.coefficients
-        ) and args.field_order != 256
-        spec = GF2 if binary else GF256
-        return LinearDecoder(spec, k, b, first.scheme, lambda p: p.header.coefficients)
-    # Row-index headers: rebuild the Vandermonde rows.
-    n = max(p.header.index for p in packets) + 1
-    vspec = VandermondeSpec.default(k, max(n, k), systematic=args.systematic)
-    return LinearDecoder(GF256, k, b, SchemeId.RS, lambda p: coding_row(vspec, p.header.index))
-
-
 def _achieved_rank(decoder) -> int:
     for attr in ("rank", "decoded_count", "decoded_bits"):
         value = getattr(decoder, attr, None)
@@ -166,37 +138,28 @@ def _achieved_rank(decoder) -> int:
     return 0
 
 
-def _check_frames(packets) -> None:
-    """Every frame must share the first frame's scheme, k and B.
-
-    `read_stream` has already checked each payload's length against its
-    own frame's B, so this covers payload lengths too.
-    """
-    first = packets[0]
-    context = (first.scheme, first.k, first.packet_len)
-    for i, p in enumerate(packets):
-        if (p.scheme, p.k, p.packet_len) != context:
-            raise SchemeMismatchError(
-                f"frame {i} is {p.scheme.name} with k={p.k}, B={p.packet_len}, "
-                f"but the stream starts with {first.scheme.name} with k={first.k}, "
-                f"B={first.packet_len}"
-            )
-
-
 def cmd_decode(args) -> int:
-    packets = list(read_stream(_read_file(args.input)))
-    if not packets:
+    """Build the decoder from the first frame, then feed it frames as they
+    are parsed until it can decode.  Every frame must share the first
+    frame's stream context; frames after the decodable point are never
+    parsed."""
+    frames = read_stream(_read_file(args.input))
+    first = next(frames, None)
+    if first is None:
         print("decode failed: stream holds no frames", file=sys.stderr)
         return EXIT_DECODE_FAILURE
-    _check_frames(packets)
-    decoder = _decoder_for_stream(packets, args)
-    for p in packets:
-        decoder.ingest(p)
-        if decoder.status is not DecodeStatus.NEEDS_MORE:
+    decoder = decoder_for(first)
+    context = first.context
+    for i, frame in enumerate(itertools.chain([first], frames)):
+        if frame.context != context:
+            raise SchemeMismatchError(
+                f"frame {i} is {frame.context}, but the stream starts with {context}"
+            )
+        if decoder.ingest(frame) is not DecodeStatus.NEEDS_MORE:
             break
-    if decoder.status is DecodeStatus.NEEDS_MORE:
+    else:
         print(
-            f"decode failed: rank {_achieved_rank(decoder)} below k={packets[0].k}",
+            f"decode failed: rank {_achieved_rank(decoder)} below k={first.k}",
             file=sys.stderr,
         )
         return EXIT_DECODE_FAILURE
@@ -380,7 +343,7 @@ def _add_scheme_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--systematic", action="store_true", help="systematic rs variant")
     p.add_argument("--field-order", type=int, default=None, choices=(2, 256),
                    dest="field_order",
-                   help="rl coefficient field (encode default 256; decode infers)")
+                   help="rl coefficient field (default 256)")
     p.add_argument("--sparsity", type=float, default=1.0, help="rl nonzero probability")
     p.add_argument("--c", type=float, default=0.1, dest="soliton_c",
                    help="robust Soliton c (lt/raptor)")
@@ -413,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decode", help="recover a file from a packet stream")
     dec.add_argument("input")
     dec.add_argument("output")
-    _add_scheme_params(dec)
     dec.set_defaults(func=cmd_decode)
 
     sim = sub.add_parser("simulate", help="run erasure-channel sessions")

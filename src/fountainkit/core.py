@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import PacketFormatError, SchemeMismatchError
-from .gf import FieldSpec, field
+from .gf import GF2, GF256, FieldSpec, field
 from .linalg import FieldMatrix, OpCounter, back_substitute, mul_int, row_ops
 from .prng import SplitMix64
 
@@ -29,23 +29,51 @@ class SchemeId(IntEnum):
 
 
 class HeaderKind(IntEnum):
-    COEFFICIENTS = 0
+    """Wire kind of a header.  For the linear schemes the kind also names
+    the code: the coefficient field of an RL packet, and whether an RS row
+    index points into the plain or the systematic generator."""
+
+    GF2_COEFFICIENTS = 0
     SEED_DEGREE = 1
     ROW_INDEX = 2
     SHIFT_LIST = 3
+    GF256_COEFFICIENTS = 4
+    SYSTEMATIC_ROW_INDEX = 5
+
+
+class _Header:
+    """Defaults shared by the header shapes: no stream parameters beyond
+    the kind, and a payload of exactly B bytes."""
+
+    stream_params: tuple = ()
+    pad_bytes = 0
 
 
 @dataclass(frozen=True)
-class CoefficientVector:
-    """Explicit coding vector; one symbol per input packet."""
+class CoefficientVector(_Header):
+    """Explicit coding vector over GF(2) or GF(256); one symbol per input
+    packet.  Without a `spec` the field is the smaller of the two that
+    holds every coefficient."""
 
     coefficients: tuple[int, ...]
+    spec: Optional[FieldSpec] = None
 
-    kind = HeaderKind.COEFFICIENTS
+    def __post_init__(self):
+        if self.spec is None:
+            binary = all(c <= 1 for c in self.coefficients)
+            object.__setattr__(self, "spec", GF2 if binary else GF256)
+        elif self.spec not in (GF2, GF256):
+            raise ValueError("coefficient vectors are over GF(2) or GF(256)")
+
+    @property
+    def kind(self) -> HeaderKind:
+        if self.spec.m == 1:
+            return HeaderKind.GF2_COEFFICIENTS
+        return HeaderKind.GF256_COEFFICIENTS
 
 
 @dataclass(frozen=True)
-class SeedDegree:
+class SeedDegree(_Header):
     """LT header: the packet PRNG seed and the sampled degree."""
 
     seed: int
@@ -55,7 +83,7 @@ class SeedDegree:
 
 
 @dataclass(frozen=True)
-class RaptorSeed:
+class RaptorSeed(_Header):
     """LT header extended with the precode parameters the decoder needs."""
 
     seed: int
@@ -66,18 +94,32 @@ class RaptorSeed:
 
     kind = HeaderKind.SEED_DEGREE
 
+    @property
+    def stream_params(self) -> tuple:
+        return (
+            ("precode_seed", self.precode_seed),
+            ("redundant_count", self.redundant_count),
+            ("row_weight", self.row_weight),
+        )
+
 
 @dataclass(frozen=True)
-class RowIndex:
-    """Generator-matrix row index (fixed-rate schemes)."""
+class RowIndex(_Header):
+    """Generator-matrix row index (fixed-rate schemes), into the
+    systematic generator when `systematic` is set."""
 
     index: int
+    systematic: bool = False
 
-    kind = HeaderKind.ROW_INDEX
+    @property
+    def kind(self) -> HeaderKind:
+        if self.systematic:
+            return HeaderKind.SYSTEMATIC_ROW_INDEX
+        return HeaderKind.ROW_INDEX
 
 
 @dataclass(frozen=True)
-class ShiftList:
+class ShiftList(_Header):
     """Per-input bit shifts; None marks inputs absent from the packet."""
 
     slots: tuple[Optional[int], ...]
@@ -88,8 +130,31 @@ class ShiftList:
     def max_shift(self) -> int:
         return max(s for s in self.slots if s is not None)
 
+    @property
+    def pad_bytes(self) -> int:
+        """Bytes the payload carries beyond B: the shifted tails."""
+        return (self.max_shift + 7) // 8
+
 
 Header = CoefficientVector | SeedDegree | RaptorSeed | RowIndex | ShiftList
+
+
+class StreamContext(NamedTuple):
+    """What every frame of one stream shares: scheme, k, B, the header
+    kind and the header's stream parameters as (name, value) pairs."""
+
+    scheme: SchemeId
+    k: int
+    packet_len: int
+    kind: HeaderKind
+    params: tuple
+
+    def __str__(self) -> str:
+        params = "".join(f", {name}={value}" for name, value in self.params)
+        return (
+            f"{self.scheme.name} with k={self.k}, B={self.packet_len}, "
+            f"{self.kind.name} header{params}"
+        )
 
 
 @dataclass(frozen=True)
@@ -99,6 +164,11 @@ class CodedPacket:
     packet_len: int
     header: Header
     payload: bytes
+
+    @property
+    def context(self) -> StreamContext:
+        h = self.header
+        return StreamContext(self.scheme, self.k, self.packet_len, h.kind, h.stream_params)
 
 
 @dataclass(frozen=True)
@@ -150,7 +220,8 @@ def check_packet(
     packet: CodedPacket, k: int, packet_len: int, *schemes: SchemeId
 ) -> None:
     """Raise SchemeMismatchError unless the packet has one of `schemes`,
-    this k, and B = `packet_len` in both its header and its payload."""
+    this k, and B = `packet_len` in its header and, beyond the header's pad
+    bytes, in its payload."""
     if packet.scheme not in schemes:
         expected = " or ".join(s.name for s in schemes)
         raise SchemeMismatchError(
@@ -158,7 +229,10 @@ def check_packet(
         )
     if packet.k != k:
         raise SchemeMismatchError(f"decoder expects k={k}, packet has k={packet.k}")
-    if packet.packet_len != packet_len or len(packet.payload) != packet_len:
+    if (
+        packet.packet_len != packet_len
+        or len(packet.payload) != packet_len + packet.header.pad_bytes
+    ):
         raise SchemeMismatchError(
             f"decoder expects B={packet_len}, packet has B={packet.packet_len} "
             f"and a {len(packet.payload)}-byte payload"
@@ -219,6 +293,10 @@ class LinearDecoder:
         coeffs = list(self._coefficients_of(packet))
         if len(coeffs) != self.k:
             raise ValueError("coding vector length must equal k")
+        if not 0 <= min(coeffs) <= max(coeffs) < self.spec.order:
+            raise SchemeMismatchError(
+                f"coefficients outside GF({self.spec.order}) in a {packet.scheme.name} packet"
+            )
         if self._reduce(self._ops.pack(coeffs), packet.payload):
             self.accepted_count += 1
             if self.accepted_count == self.k:

@@ -3,8 +3,8 @@
 Dense mode draws every coefficient uniformly from the field (all-zero
 vectors are redrawn, never emitted); sparse mode draws a Bernoulli mask
 and is what the benchmarks use to exercise sparse decoding cost.  Headers
-carry the explicit coefficient vector, so decoding needs no shared PRNG
-state.
+carry the explicit coefficient vector and its field, so decoding needs no
+shared PRNG state.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class RlEncoder:
             SchemeId.RL,
             self.config.k,
             self.block.packet_len,
-            CoefficientVector(vec),
+            CoefficientVector(vec, self.config.spec),
             linear_combine(self.block.packets, vec, self.config.spec),
         )
 

@@ -2,8 +2,9 @@
 
 Coding vectors are rows of a Vandermonde matrix built on distinct nonzero
 evaluation points, so any k of the n coded packets form an invertible
-system.  Headers carry only the row index; the decoder rebuilds the row
-from the shared spec.  The optional systematic variant right-multiplies
+system.  Headers carry the row index and the systematic flag; since row j
+is the same for every n > j, a receiver rebuilds it from the spec with
+the largest n, `MAX_ROWS`.  The optional systematic variant right-multiplies
 the generator by the inverse of its first k rows, which turns those rows
 into the identity while keeping every k-subset invertible.
 """
@@ -23,9 +24,18 @@ from .core import (
     check_packet,
     linear_combine,
 )
-from .errors import DuplicatePacketError, InsufficientPacketsError, SchemeMismatchError
+from .errors import (
+    DuplicatePacketError,
+    InsufficientPacketsError,
+    PacketFormatError,
+    SchemeMismatchError,
+)
 from .gf import GF256, FieldSpec, field
 from .linalg import FieldMatrix, OpCounter, invert, solve
+
+
+#: Rows of the largest code: one per nonzero point of GF(256).
+MAX_ROWS = GF256.order - 1
 
 
 def default_points(n: int, spec: FieldSpec = GF256) -> tuple[int, ...]:
@@ -106,11 +116,29 @@ def rs_encode(block: InputBlock, vspec: VandermondeSpec) -> list[CodedPacket]:
             SchemeId.RS,
             vspec.k,
             block.packet_len,
-            RowIndex(j),
+            RowIndex(j, vspec.systematic),
             linear_combine(block.packets, coding_row(vspec, j), vspec.spec),
         )
         for j in range(vspec.n)
     ]
+
+
+def _row_index(vspec: VandermondeSpec, packet: CodedPacket) -> int:
+    """The packet's row index: a row-index header of the spec's generator
+    (plain or systematic) inside its n rows, or an error."""
+    h = packet.header
+    if not isinstance(h, RowIndex):
+        raise SchemeMismatchError(
+            f"RS packets carry row-index headers, got {type(h).__name__}"
+        )
+    if h.systematic != vspec.systematic:
+        raise SchemeMismatchError(
+            f"packet is a row of the {'systematic' if h.systematic else 'plain'} "
+            f"generator, decoder expects the other"
+        )
+    if not 0 <= h.index < vspec.n:
+        raise PacketFormatError(f"row index {h.index} outside 0..{vspec.n - 1}")
+    return h.index
 
 
 def rs_decode(
@@ -120,16 +148,13 @@ def rs_decode(
 ) -> InputBlock:
     """Exact recovery from any k packets with distinct row indices.
 
-    Every packet must be an RS packet with the spec's k, a row-index
-    header and the first packet's B; anything else raises
-    SchemeMismatchError rather than decoding to a wrong block.
+    Every packet must be an RS packet with the spec's k, the first
+    packet's B and a row-index header that `_row_index` accepts; anything
+    else raises rather than decoding to a wrong block.
     """
     for p in packets:
         check_packet(p, vspec.k, packets[0].packet_len, SchemeId.RS)
-        if not isinstance(p.header, RowIndex):
-            raise SchemeMismatchError(
-                f"RS packets carry row-index headers, got {type(p.header).__name__}"
-            )
+        _row_index(vspec, p)
     seen: set[int] = set()
     chosen: list[CodedPacket] = []
     for p in packets:
@@ -152,11 +177,11 @@ def rs_decode(
 
 
 def make_decoder(vspec: VandermondeSpec, packet_len: int) -> LinearDecoder:
-    """Incremental decoder for simulator use; innovation is rank-checked."""
+    """Incremental decoder; innovation is rank-checked."""
     return LinearDecoder(
         vspec.spec,
         vspec.k,
         packet_len,
         SchemeId.RS,
-        lambda p: coding_row(vspec, p.header.index),
+        lambda p: coding_row(vspec, _row_index(vspec, p)),
     )

@@ -28,6 +28,7 @@ from .core import (
     SchemeId,
     SeedDegree,
     ShiftList,
+    check_packet,
     packet_support,
 )
 from .errors import SchemeMismatchError
@@ -133,6 +134,9 @@ class BitSubstitutionDecoder:
     every equation is the XOR of its unknowns equal to a known coded bit.
     """
 
+    # LT and GF(2) random linear packets join as shift-0 packets.
+    schemes = (SchemeId.TRIANGULAR, SchemeId.LT, SchemeId.RL)
+
     def __init__(self, k: int, packet_len: int):
         self.k = k
         self.packet_len = packet_len
@@ -153,10 +157,7 @@ class BitSubstitutionDecoder:
         return self._solved_count
 
     def ingest(self, packet: CodedPacket) -> DecodeStatus:
-        if packet.k != self.k:
-            raise SchemeMismatchError(
-                f"decoder expects k={self.k}, packet has k={packet.k}"
-            )
+        check_packet(packet, self.k, self.packet_len, *self.schemes)
         sv = _shift_vector_of(packet)
         self.packets_seen += 1
         if self.status is not DecodeStatus.NEEDS_MORE:

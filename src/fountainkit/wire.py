@@ -2,24 +2,26 @@
 
 Layout, all integers big-endian:
 
-    magic 0xEC | version 0x01 | scheme_id u8 | k u32 | B u32 |
+    magic 0xEC | version 0x02 | scheme_id u8 | k u32 | B u32 |
     header_kind u8 | header_len u16 | header bytes | payload
 
-Header encodings by kind:
+Every frame is self-describing: its scheme, k, B, header kind and header
+bytes are all a receiver needs to build the stream's decoder from the
+first frame it holds.  Header encodings by kind:
 
-    0  explicit coefficients: k symbols.  Bit-packed one bit per symbol
-       (LSB-first within each byte) when every coefficient is 0 or 1,
-       otherwise one byte per symbol.  The two encodings are told apart
-       by header_len.
+    0  GF(2) coefficients: k symbols bit-packed one bit per symbol,
+       LSB-first within each byte.
+    4  GF(256) coefficients: k symbols, one byte per symbol.
     1  seed + degree: u64 seed, u16 degree.  Raptor packets append
        u64 precode_seed, u32 redundant_count, u16 row_weight.
-    2  row index: u32.
+    2  row index of the Vandermonde generator: u32.
+    5  row index of the systematic generator: u32.
     3  shift list: u16 count (= k), then count u16 slots; 0xFFFF marks
        an input absent from the packet.
 
-Payload length is B except for shift-list packets, which carry
-B + ceil(max_shift / 8) bytes.  A packet-stream file is a plain
-concatenation of frames.
+k and B are at least 1.  Payload length is B except for shift-list
+packets, which carry B + ceil(max_shift / 8) bytes.  A packet-stream file
+is a plain concatenation of frames.
 """
 
 from __future__ import annotations
@@ -43,80 +45,75 @@ from .errors import (
     TruncatedFrameError,
     UnknownSchemeError,
 )
+from .gf import GF2, GF256
 
 MAGIC = 0xEC
-VERSION = 0x01
+VERSION = 0x02
 
 _ABSENT = 0xFFFF
 _FIXED = struct.Struct(">BBBIIBH")  # magic, version, scheme, k, B, kind, header_len
 
 
-def _encode_header(packet: CodedPacket) -> tuple[int, bytes]:
+def _encode_header(packet: CodedPacket) -> bytes:
     h = packet.header
     if isinstance(h, CoefficientVector):
         coeffs = h.coefficients
         if len(coeffs) != packet.k:
             raise PacketFormatError("coefficient vector length must equal k")
-        if all(c <= 1 for c in coeffs):
+        if any(not 0 <= c < h.spec.order for c in coeffs):
+            raise PacketFormatError(f"coefficient outside GF({h.spec.order})")
+        if h.spec.m == 1:
             out = bytearray((packet.k + 7) // 8)
             for j, c in enumerate(coeffs):
                 if c:
                     out[j // 8] |= 1 << (j % 8)
-            return HeaderKind.COEFFICIENTS, bytes(out)
-        if any(not 0 <= c <= 0xFF for c in coeffs):
-            raise PacketFormatError("coefficients above one byte are not supported")
-        return HeaderKind.COEFFICIENTS, bytes(coeffs)
+            return bytes(out)
+        return bytes(coeffs)
     if isinstance(h, RaptorSeed):
-        return HeaderKind.SEED_DEGREE, struct.pack(
+        return struct.pack(
             ">QHQIH", h.seed, h.degree, h.precode_seed, h.redundant_count, h.row_weight
         )
     if isinstance(h, SeedDegree):
-        return HeaderKind.SEED_DEGREE, struct.pack(">QH", h.seed, h.degree)
+        return struct.pack(">QH", h.seed, h.degree)
     if isinstance(h, RowIndex):
-        return HeaderKind.ROW_INDEX, struct.pack(">I", h.index)
+        return struct.pack(">I", h.index)
     if isinstance(h, ShiftList):
         if len(h.slots) != packet.k:
             raise PacketFormatError("shift list must have one slot per input")
         vals = [_ABSENT if s is None else s for s in h.slots]
         if any(not 0 <= v <= 0xFFFF for v in vals):
             raise PacketFormatError("shift outside u16 range")
-        return HeaderKind.SHIFT_LIST, struct.pack(
-            f">H{len(vals)}H", len(vals), *vals
-        )
+        return struct.pack(f">H{len(vals)}H", len(vals), *vals)
     raise PacketFormatError(f"unknown header type {type(h).__name__}")
 
 
 def serialize(packet: CodedPacket) -> bytes:
-    kind, header = _encode_header(packet)
-    expected = _payload_length(packet.packet_len, packet.header)
+    header = _encode_header(packet)
+    expected = packet.packet_len + packet.header.pad_bytes
     if len(packet.payload) != expected:
         raise PacketFormatError(
             f"payload is {len(packet.payload)} bytes, frame needs {expected}"
         )
     fixed = _FIXED.pack(
-        MAGIC, VERSION, packet.scheme, packet.k, packet.packet_len, kind, len(header)
+        MAGIC, VERSION, packet.scheme, packet.k, packet.packet_len,
+        packet.header.kind, len(header),
     )
     return fixed + header + packet.payload
 
 
-def _payload_length(b: int, header) -> int:
-    if isinstance(header, ShiftList):
-        return b + (header.max_shift + 7) // 8
-    return b
-
-
 def _decode_header(scheme: SchemeId, k: int, kind: int, data: bytes):
-    if kind == HeaderKind.COEFFICIENTS:
-        packed_len = (k + 7) // 8
-        if len(data) == packed_len and k > 1:
-            coeffs = tuple((data[j // 8] >> (j % 8)) & 1 for j in range(k))
-            return CoefficientVector(coeffs)
-        if len(data) == k:
-            return CoefficientVector(tuple(data))
-        raise PacketFormatError(
-            f"coefficient header of {len(data)} bytes fits neither packed "
-            f"({packed_len}) nor byte ({k}) form"
-        )
+    if kind == HeaderKind.GF2_COEFFICIENTS:
+        if len(data) != (k + 7) // 8:
+            raise PacketFormatError(
+                f"GF(2) coefficient header of {len(data)} bytes, k={k} needs {(k + 7) // 8}"
+            )
+        return CoefficientVector(tuple((data[j // 8] >> (j % 8)) & 1 for j in range(k)), GF2)
+    if kind == HeaderKind.GF256_COEFFICIENTS:
+        if len(data) != k:
+            raise PacketFormatError(
+                f"GF(256) coefficient header of {len(data)} bytes, k={k} needs {k}"
+            )
+        return CoefficientVector(tuple(data), GF256)
     if kind == HeaderKind.SEED_DEGREE:
         if scheme == SchemeId.RAPTOR:
             if len(data) != 24:
@@ -127,10 +124,11 @@ def _decode_header(scheme: SchemeId, k: int, kind: int, data: bytes):
             raise PacketFormatError("seed+degree header must be 10 bytes")
         seed, degree = struct.unpack(">QH", data)
         return SeedDegree(seed, degree)
-    if kind == HeaderKind.ROW_INDEX:
+    if kind in (HeaderKind.ROW_INDEX, HeaderKind.SYSTEMATIC_ROW_INDEX):
         if len(data) != 4:
             raise PacketFormatError("row index header must be 4 bytes")
-        return RowIndex(struct.unpack(">I", data)[0])
+        index = struct.unpack(">I", data)[0]
+        return RowIndex(index, kind == HeaderKind.SYSTEMATIC_ROW_INDEX)
     if kind == HeaderKind.SHIFT_LIST:
         if len(data) < 2:
             raise PacketFormatError("shift list header too short")
@@ -161,6 +159,8 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[CodedPacket, int]:
     )
     if version != VERSION:
         raise PacketFormatError(f"unsupported frame version {version}")
+    if k < 1 or b < 1:
+        raise PacketFormatError(f"frame has k={k} and B={b}; both must be at least 1")
     try:
         scheme = SchemeId(scheme_raw)
     except ValueError:
@@ -170,7 +170,7 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[CodedPacket, int]:
         raise TruncatedFrameError("frame ends inside header")
     header = _decode_header(scheme, k, kind, data[pos : pos + header_len])
     pos += header_len
-    payload_len = _payload_length(b, header)
+    payload_len = b + header.pad_bytes
     if len(data) - pos < payload_len:
         raise TruncatedFrameError("frame ends inside payload")
     payload = data[pos : pos + payload_len]

@@ -1,13 +1,27 @@
 """CLI: file round trips, erasure tolerance, exit codes, CSV determinism."""
 
+import contextlib
 import dataclasses
+import functools
+import io
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fountainkit.cli import CSV_COLUMNS, main
-from fountainkit.core import SeedDegree
-from fountainkit.wire import read_stream, write_stream
+from fountainkit.core import (
+    CodedPacket,
+    CoefficientVector,
+    RowIndex,
+    SchemeId,
+    SeedDegree,
+    ShiftList,
+)
+from fountainkit.wire import read_stream, serialize, write_stream
 
 
 @pytest.fixture
@@ -40,6 +54,18 @@ class TestEncodeDecode:
         assert run("encode", src, stream, "--scheme", "rs", "--k", 1, "--n", 3) == 0
         assert run("decode", stream, out) == 0
         assert out.read_bytes() == b"\xA7"
+
+    def test_systematic_rs_decodes_without_its_first_k_frames(self, sample_file, tmp_path):
+        # The frames record the systematic generator, so a plain decode of
+        # the parity frames alone recovers the file.
+        stream = tmp_path / "rs.ec"
+        assert run("encode", sample_file, stream, "--scheme", "rs", "--k", 6,
+                   "--systematic") == 0
+        parity = tmp_path / "parity.ec"
+        parity.write_bytes(write_stream(list(read_stream(stream.read_bytes()))[6:]))
+        out = tmp_path / "parity.out"
+        assert run("decode", parity, out) == 0
+        assert out.read_bytes() == sample_file.read_bytes()
 
     def test_rs_survives_any_k_subset(self, sample_file, tmp_path):
         import itertools
@@ -114,6 +140,35 @@ class TestExitCodes:
 
     def test_selftest_passes(self):
         assert run("selftest") == 0
+
+
+class TestCraftedFrames:
+    @pytest.mark.parametrize(
+        "scheme,k,b,header",
+        [
+            (SchemeId.RS, 300, 4, RowIndex(0)),
+            (SchemeId.RS, 4, 4, RowIndex(255)),
+            (SchemeId.RS, 4, 4, RowIndex(0xFFFFFFFF, systematic=True)),
+            (SchemeId.TRIANGULAR, 2, 0, ShiftList((0, 1))),
+            (SchemeId.RL, 0, 4, CoefficientVector(())),
+            (SchemeId.LT, 0, 4, SeedDegree(1, 1)),
+        ],
+        ids=["rs-k300", "rs-row255", "rs-row2^32-1", "triangular-b0", "rl-k0", "lt-k0"],
+    )
+    def test_crafted_frame_is_decode_failure(self, scheme, k, b, header, tmp_path, capsys):
+        # Frames no encoder writes, with parameters outside what their
+        # scheme allows: refused as malformed input (exit 1), not as a
+        # configuration error.
+        payload = bytes(b + header.pad_bytes)
+        stream = tmp_path / "crafted.ec"
+        stream.write_bytes(serialize(CodedPacket(scheme, k, b, header, payload)))
+        out = tmp_path / "crafted.out"
+        capsys.readouterr()
+        assert run("decode", stream, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("decode failed:")
+        assert "rank" not in err
+        assert not out.exists()
 
 
 class TestBench:
@@ -232,3 +287,61 @@ class TestOutOfRangeDegree:
         assert f"degree {degree} outside 1..12" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+# Streams of one file for each scheme.  The encodings of a scheme differ
+# from the first in B, in k, or in the RS generator or RL field, so each
+# has its own stream context.
+_PROPERTY_SOURCE = random.Random(6).randbytes(120)
+_ENCODINGS = {
+    "rs": [(), ("--b", 40), ("--k", 5), ("--systematic",)],
+    "rl": [(), ("--b", 40), ("--k", 5), ("--field-order", 2)],
+    "lt": [(), ("--b", 40), ("--k", 5)],
+    "raptor": [(), ("--b", 40), ("--k", 5)],
+    "triangular": [(), ("--b", 40), ("--k", 5)],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _encoded_frames(scheme: str, variant: int) -> tuple:
+    with tempfile.TemporaryDirectory() as tmp:
+        src, stream = Path(tmp, "in.bin"), Path(tmp, "stream.ec")
+        src.write_bytes(_PROPERTY_SOURCE)
+        argv = ["encode", src, stream, "--scheme", scheme, "--k", 4, "--seed", 2]
+        assert run(*argv, *_ENCODINGS[scheme][variant]) == 0
+        return tuple(read_stream(stream.read_bytes()))
+
+
+def _decode_bytes(data: bytes) -> tuple[int, bytes, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        stream, out = Path(tmp, "stream.ec"), Path(tmp, "out.bin")
+        stream.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("decode", stream, out)
+        return code, out.read_bytes() if out.exists() else b"", err.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.data())
+def test_cut_or_spliced_stream_decodes_exactly_or_fails_cleanly(data):
+    # A valid stream cut at any byte, or the first frame of one encoding
+    # spliced onto the frames of another: exit 0 with the original bytes,
+    # or exit 1 with a message; never exit 2 and never a traceback.
+    scheme = data.draw(st.sampled_from(sorted(_ENCODINGS)))
+    variants = range(len(_ENCODINGS[scheme]))
+    if data.draw(st.booleans()):
+        stream = write_stream(_encoded_frames(scheme, data.draw(st.sampled_from(variants))))
+        stream = stream[: data.draw(st.integers(0, len(stream)))]
+    else:
+        first, rest = data.draw(
+            st.lists(st.sampled_from(variants), min_size=2, max_size=2, unique=True)
+        )
+        stream = write_stream(_encoded_frames(scheme, first)[:1] + _encoded_frames(scheme, rest))
+    code, out, err = _decode_bytes(stream)
+    assert code in (0, 1)
+    if code == 0:
+        assert out == _PROPERTY_SOURCE
+    else:
+        assert err.startswith("decode failed:")
+        assert "Traceback" not in err

@@ -155,7 +155,7 @@ class TestWireRoundTrip:
 
     def test_version_mismatch_rejected(self):
         frame = bytearray(serialize(coeff_packet([1, 0], b"hi")))
-        frame[1] = 0x02
+        frame[1] = 0x01
         with pytest.raises(PacketFormatError):
             deserialize(bytes(frame))
 

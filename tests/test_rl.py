@@ -5,6 +5,7 @@ import random
 import pytest
 
 from fountainkit.core import DecodeStatus, InputBlock
+from fountainkit.errors import SchemeMismatchError
 from fountainkit.gf import GF2, GF256, FieldSpec
 from fountainkit.rl import RlConfig, RlEncoder, make_decoder, rl_success_probability
 from fountainkit.wire import serialize
@@ -66,6 +67,20 @@ class TestEncoder:
             while dec.status is DecodeStatus.NEEDS_MORE:
                 dec.ingest(enc.next_packet())
             assert dec.decode() == blk
+
+    def test_gf2_decoder_refuses_gf256_coefficients(self):
+        # A GF(2) decoder must not read GF(256) coefficients as bits: that
+        # reached DECODABLE after 4 sparse packets with a wrong block.
+        blk = block(4, b=8, seed=5)
+        enc = RlEncoder(RlConfig(GF256, 4, sparsity=0.4, seed=3), blk)
+        dec = make_decoder(RlConfig(GF2, 4), blk.packet_len)
+        packet = enc.next_packet()
+        while max(packet.header.coefficients) <= 1:
+            dec.ingest(packet)
+            packet = enc.next_packet()
+        with pytest.raises(SchemeMismatchError, match=r"outside GF\(2\)"):
+            dec.ingest(packet)
+        assert dec.status is DecodeStatus.NEEDS_MORE
 
     def test_sparse_vectors_cost_fewer_row_ops(self):
         # Sparse streams eliminate cheaper, though plain Gaussian

@@ -11,6 +11,7 @@ from fountainkit.core import (
     InputBlock,
     SchemeId,
 )
+from fountainkit.errors import SchemeMismatchError
 from fountainkit.linalg import xor_bytes
 from fountainkit.lt import peel_decode
 from fountainkit.prng import SplitMix64
@@ -118,6 +119,19 @@ class TestDecode:
         assert dec.ingest(tri_encode(blk, ShiftVector((0, 1), (0, 1)))) is DecodeStatus.DECODABLE
         assert dec.decode() == blk
         assert dec.status is DecodeStatus.DECODED
+
+    @pytest.mark.parametrize("b,pad", [(4, 0), (8, -1), (8, 1)])
+    def test_packet_of_another_b_or_payload_length_refused(self, b, pad):
+        # A B = 8 decoder takes only packets with B = 8 and a payload of
+        # B + ceil(max_shift / 8) bytes; it used to check k alone.
+        packet = tri_encode(block(4, b=b, seed=12), ShiftVector((0, 1, 2, 3), (0, 3, 1, 2)))
+        if pad:
+            payload = packet.payload + b"\0" if pad > 0 else packet.payload[:-1]
+            packet = CodedPacket(packet.scheme, 4, b, packet.header, payload)
+        dec = BitSubstitutionDecoder(4, 8)
+        with pytest.raises(SchemeMismatchError):
+            dec.ingest(packet)
+        assert dec.packets_seen == 0
 
     def test_zero_shift_agreement_with_peeling(self):
         rng = random.Random(11)
