@@ -412,11 +412,13 @@ def solve(
     """Solve m x = rhs exactly; m needs full column rank (rows >= cols).
 
     Rows beyond the pivots are assumed consistent with the rest, as they
-    are for any coding system built from real payloads.
+    are for any coding system built from real payloads.  Otherwise
+    SingularMatrixError carries the rank of m; with fewer rows than
+    unknowns that rank is computed off the counter.
     """
     if m.rows < m.cols:
         raise SingularMatrixError(
-            f"{m.rows} rows cannot determine {m.cols} unknowns", rank=m.rows
+            f"{m.rows} rows cannot determine {m.cols} unknowns", rank=rank(m)
         )
     counter = counter if counter is not None else OpCounter()
     tri = triangularize(m, counter, rhs)

@@ -246,6 +246,13 @@ class TestSolve:
             solve(bits([[1, 0], [1, 0]]), [b"a", b"b"])
         assert exc.value.rank == 1
 
+    def test_too_few_rows_report_their_rank_not_their_number(self):
+        counter = OpCounter()
+        with pytest.raises(SingularMatrixError) as exc:
+            solve(bits([[1, 1, 0], [1, 1, 0]]), [b"a", b"a"], counter)
+        assert exc.value.rank == 1
+        assert counter == OpCounter()
+
 
 class TestRepresentations:
     def test_gf2_always_bit_packed(self):
