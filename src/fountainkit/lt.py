@@ -10,10 +10,10 @@ which is back-substitution on a sparse system: no row scaling, no matrix
 inversion, XOR only.  A stall is a status, not an error; the regular
 fixed-degree configuration doubles as a sparse-parity-code demonstrator.
 
-`Peeler` is the one peeling engine: `PeelingDecoder` runs it over the k
-inputs, and the raptor decoder runs it over the intermediate block with
-inactivation on top.  Each equation's row is one int, payload in the low
-`8·B` bits and raptor's inactive-slot mask above them.
+`Peeler` is the one sparse XOR peeling engine, with three users:
+`PeelingDecoder` (k inputs, B-byte rows), raptor's inactivation decoder
+(the intermediate block, the inactive-slot mask above each payload) and
+triangular's bit decoder (k·8B unknown bits, 1-bit rows).
 """
 
 from __future__ import annotations
@@ -192,48 +192,56 @@ class PeelResult:
 
 
 class Peeler:
-    """Sparse XOR peeling over n unknowns with a ripple queue.
+    """Sparse XOR peeling over n unknowns with a ripple queue, holding no
+    sets: the "pure cell" rule of invertible Bloom lookup tables.
 
-    Each equation is `[unresolved set, row]`, and `row` is one int: the
-    payload sits in its low `shift` bits and anything above them (raptor's
-    inactive-slot mask) is carried along, so a substitution is one XOR.
-    `value[u]` is the row an unknown resolved to, None while unresolved;
-    an equation's row always equals its original row XOR the values
-    already substituted into it.  An equation left with no unknowns is a
-    core row when it has bits above `shift` and redundant otherwise.
+    Equation `eid` is `equations[eid] = [count, xor, row]`: the number of
+    its unresolved unknowns, the XOR of their indices and one int row,
+    payload in the low `shift` bits and anything above them (raptor's
+    inactive-slot mask) carried along.  When the count reaches 1, `xor`
+    names the last unknown.  A dead equation is None.  A row always equals
+    the original row XOR the values substituted into it; an equation left
+    with no unknowns is a core row when it has bits above `shift` and
+    redundant otherwise.  `value[u]` is the row unknown u resolved to,
+    None while unresolved; `incidence[u]` is the append-only list of the
+    equations u joined, so its length is an unresolved u's live degree.
+    A support passed to `add` must not repeat an index.
     """
 
     def __init__(self, n: int, shift: int, counter: OpCounter):
         self.shift = shift
         self.counter = counter
         self.value: list[Optional[int]] = [None] * n
-        self.unresolved = set(range(n))
-        self.equations: dict[int, list] = {}  # eid -> [unresolved set, row]
-        self.incidence: list[set[int]] = [set() for _ in range(n)]
+        self.unresolved = n
+        self.equations: list[Optional[list]] = []  # eid -> [count, xor, row]
+        self.live = 0
+        self.incidence: list[list[int]] = [[] for _ in range(n)]
         self.ripple: deque[int] = deque()
         self.core_rows: list[int] = []
         self.redundant = 0
-        self._next_eid = 0
 
     def add(self, support, row: int) -> None:
         """Substitute the resolved unknowns of one equation and peel."""
         value, counter = self.value, self.counter
-        remaining = set()
+        remaining = []
         for u in support:
             v = value[u]
             if v is None:
-                remaining.add(u)
+                remaining.append(u)
             else:
                 row ^= v
                 counter.row_xor_count += 1
         if not remaining:
             self._exhausted(row)
             return
-        eid = self._next_eid
-        self._next_eid += 1
-        self.equations[eid] = [remaining, row]
+        eid = len(self.equations)
+        xor = 0
+        incidence = self.incidence
         for u in remaining:
-            self.incidence[u].add(eid)
+            incidence[u].append(eid)
+            xor ^= u
+        self.equations.append([len(remaining), xor, row])
+        self.live += 1
         if len(remaining) == 1:
             self.ripple.append(eid)
             self.drain()
@@ -250,34 +258,38 @@ class Peeler:
         inactivated unknown merely moves its column into the core, so the
         caller passes `count_rows=False` for that bookkeeping."""
         self.value[u] = row
-        self.unresolved.discard(u)
+        self.unresolved -= 1
         equations, counter = self.equations, self.counter
-        for eid in list(self.incidence[u]):
+        for eid in self.incidence[u]:
             eq = equations[eid]
-            eq[0].discard(u)
-            eq[1] ^= row
+            if eq is None:
+                continue
+            eq[0] -= 1
+            eq[1] ^= u
+            eq[2] ^= row
             if count_rows:
                 counter.row_xor_count += 1
-            if len(eq[0]) == 1:
+            if eq[0] == 1:
                 self.ripple.append(eid)
             elif not eq[0]:
-                del equations[eid]
-                self._exhausted(eq[1])
+                equations[eid] = None
+                self.live -= 1
+                self._exhausted(eq[2])
         self.incidence[u].clear()
 
     def drain(self) -> None:
-        """Resolve degree-1 equations until the ripple is empty."""
+        """Resolve degree-1 equations until the ripple is empty.  A queued
+        equation that is still live has exactly one unknown left."""
         ripple, equations = self.ripple, self.equations
         while ripple:
             eid = ripple.popleft()
-            eq = equations.get(eid)
-            if eq is None or len(eq[0]) != 1:
+            eq = equations[eid]
+            if eq is None:
                 continue
-            (u,) = eq[0]
-            del equations[eid]
-            self.incidence[u].discard(eid)
+            equations[eid] = None
+            self.live -= 1
             self.counter.resolve_count += 1
-            self.resolve(u, eq[1], count_rows=True)
+            self.resolve(eq[1], eq[2], count_rows=True)
 
 
 class PeelingDecoder:
@@ -300,7 +312,7 @@ class PeelingDecoder:
 
     @property
     def decoded_count(self) -> int:
-        return self.k - len(self._peeler.unresolved)
+        return self.k - self._peeler.unresolved
 
     @property
     def redundant_count(self) -> int:
@@ -331,7 +343,7 @@ class PeelingDecoder:
         peeler = self._peeler
         return StallReport(
             undecoded=tuple(i for i, v in enumerate(peeler.value) if v is None),
-            pending_packets=len(peeler.equations),
+            pending_packets=peeler.live,
             decoded_count=self.decoded_count,
         )
 

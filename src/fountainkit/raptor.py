@@ -237,7 +237,10 @@ class _Inactivation(Peeler):
                 self.drain()
             else:
                 # Stall: inactivate the busiest unresolved unknown.
-                u = max(self.unresolved, key=lambda v: (len(incidence[v]), -v))
+                u = max(
+                    (v for v, row in enumerate(self.value) if row is None),
+                    key=lambda v: (len(incidence[v]), -v),
+                )
                 slot = len(inactive)
                 inactive.append(u)
                 self.resolve(u, 1 << (shift + slot), count_rows=False)

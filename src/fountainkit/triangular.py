@@ -6,17 +6,18 @@ payload read big-endian) and the shifted bitstreams are XORed with tails
 aligned.  Heads are zero-padded out to a common length of 8B + max(shift)
 bits, so the wire payload is B bytes plus ceil(max_shift / 8) pad bytes.
 
-Decoding builds one XOR equation per coded bit position and repeatedly
-solves equations with a single unknown bit, substituting each solved bit
-everywhere it appears.  No field multiplication, no matrix inversion:
-the operation counters of a successful decode show zeros there.  Plain
-input packets and classic XOR packets take part as shift-0 packets, so a
-client can combine what it already holds with shifted retransmissions.
+Decoding makes each bit of each input an unknown and each coded bit one
+XOR equation over the input bits its shifts align there, then peels that
+system with `lt.Peeler` and 1-bit rows: solve an equation with a single
+unknown bit and substitute the bit everywhere it appears.  No field
+multiplication, no matrix inversion: the operation counters of a
+successful decode show zeros there.  Plain input packets and classic XOR
+packets take part as shift-0 packets, so a client can combine what it
+already holds with shifted retransmissions.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,6 +34,7 @@ from .core import (
 )
 from .errors import SchemeMismatchError
 from .linalg import OpCounter
+from .lt import Peeler
 from .prng import SplitMix64
 
 
@@ -128,10 +130,11 @@ class TriResult:
 
 
 class BitSubstitutionDecoder:
-    """Equation system over the individual payload bits.
+    """Equation system over the individual payload bits, peeled by
+    `lt.Peeler` with 1-bit rows.
 
-    Unknown (i, s) is bit s (counted from the tail) of input packet i;
-    every equation is the XOR of its unknowns equal to a known coded bit.
+    Unknown i·8B + s is bit s (counted from the tail) of input packet i;
+    every coded bit is one equation: the XOR of its unknowns equals it.
     """
 
     # LT and GF(2) random linear packets join as shift-0 packets.
@@ -144,17 +147,11 @@ class BitSubstitutionDecoder:
         self.counter = OpCounter()
         self.status = DecodeStatus.NEEDS_MORE
         self.packets_seen = 0
-        total = k * self.bits_per_packet
-        self._solved: list[int] = [-1] * total  # -1 unknown, else 0/1
-        self._solved_count = 0
-        self._equations: dict[int, list] = {}  # eid -> [set of uids, rhs bit]
-        self._incidence: list[list[int]] = [[] for _ in range(total)]
-        self._queue: deque[int] = deque()
-        self._next_eid = 0
+        self._peeler = Peeler(k * self.bits_per_packet, 1, self.counter)
 
     @property
     def decoded_bits(self) -> int:
-        return self._solved_count
+        return len(self._peeler.value) - self._peeler.unresolved
 
     def ingest(self, packet: CodedPacket) -> DecodeStatus:
         check_packet(packet, self.k, self.packet_len, *self.schemes)
@@ -164,68 +161,28 @@ class BitSubstitutionDecoder:
             return self.status
         nbits = self.bits_per_packet
         value = int.from_bytes(packet.payload, "big")
-        length = nbits + sv.max_shift
-        pairs = list(zip(sv.participants, sv.shifts))
-        for t in range(length):
-            unknowns = set()
-            rhs = (value >> t) & 1
-            for i, s in pairs:
-                pos = t - s
-                if 0 <= pos < nbits:
-                    uid = i * nbits + pos
-                    known = self._solved[uid]
-                    if known < 0:
-                        unknowns.add(uid)
-                    else:
-                        rhs ^= known
-            if not unknowns:
-                continue
-            eid = self._next_eid
-            self._next_eid += 1
-            self._equations[eid] = [unknowns, rhs]
-            for uid in unknowns:
-                self._incidence[uid].append(eid)
-            if len(unknowns) == 1:
-                self._queue.append(eid)
-        self._drain()
-        return self.status
-
-    def _drain(self) -> None:
-        while self._queue:
-            eid = self._queue.popleft()
-            eq = self._equations.get(eid)
-            if eq is None or len(eq[0]) != 1:
-                continue
-            (uid,) = eq[0]
-            del self._equations[eid]
-            self._solved[uid] = eq[1]
-            self._solved_count += 1
-            self.counter.resolve_count += 1
-            for other in self._incidence[uid]:
-                oeq = self._equations.get(other)
-                if oeq is None or uid not in oeq[0]:
-                    continue
-                oeq[0].discard(uid)
-                oeq[1] ^= eq[1]
-                self.counter.row_xor_count += 1
-                if len(oeq[0]) == 1:
-                    self._queue.append(other)
-                elif not oeq[0]:
-                    del self._equations[other]
-            self._incidence[uid] = []
-        if self._solved_count == len(self._solved):
+        # Coded bit t holds bit t - s of each participant whose shift s
+        # places that bit inside it: unknown base + t with base = i·8B - s.
+        spans = [(i * nbits - s, s, s + nbits) for i, s in zip(sv.participants, sv.shifts)]
+        add = self._peeler.add
+        for t in range(nbits + sv.max_shift):
+            support = [base + t for base, lo, hi in spans if lo <= t < hi]
+            if support:
+                add(support, (value >> t) & 1)
+        if not self._peeler.unresolved:
             self.status = DecodeStatus.DECODABLE
+        return self.status
 
     def decode(self) -> InputBlock:
         if self.status is DecodeStatus.NEEDS_MORE:
             raise RuntimeError("bit system still has unknowns")
-        nbits = self.bits_per_packet
+        nbits, bits = self.bits_per_packet, self._peeler.value
         out = []
         for i in range(self.k):
             acc = 0
             base = i * nbits
             for s in range(nbits):
-                if self._solved[base + s]:
+                if bits[base + s]:
                     acc |= 1 << s
             out.append(acc.to_bytes(self.packet_len, "big"))
         self.status = DecodeStatus.DECODED
@@ -234,12 +191,12 @@ class BitSubstitutionDecoder:
     def stall_report(self) -> BitStallReport:
         nbits = self.bits_per_packet
         pending_inputs = sorted(
-            {uid // nbits for uid, v in enumerate(self._solved) if v < 0}
+            {uid // nbits for uid, v in enumerate(self._peeler.value) if v is None}
         )
         return BitStallReport(
-            unresolved_bits=len(self._solved) - self._solved_count,
+            unresolved_bits=self._peeler.unresolved,
             unresolved_inputs=tuple(pending_inputs),
-            decoded_bits=self._solved_count,
+            decoded_bits=self.decoded_bits,
         )
 
 
