@@ -43,7 +43,7 @@ from .errors import PacketFormatError, SchemeMismatchError, SingularMatrixError
 from .gf import GF2
 from .prng import SplitMix64
 from .rl import rl_success_probability
-from .wire import read_stream, write_stream
+from .wire import MAX_EXTRA_REDUNDANT, read_stream, write_stream
 
 EXIT_OK = 0
 EXIT_DECODE_FAILURE = 1
@@ -111,6 +111,11 @@ def cmd_encode(args) -> int:
     data = _read_file(args.input)
     if not data:
         raise ConfigError("input file is empty")
+    if args.redundant is not None and args.redundant > args.k + MAX_EXTRA_REDUNDANT:
+        raise ConfigError(
+            f"--redundant {args.redundant} exceeds k + {MAX_EXTRA_REDUNDANT}, "
+            "the most a stream frame carries"
+        )
     block = _block_from_file(data, args.k, args.b)
     codec = make_codec_session(args.scheme, block, seed=args.seed, **_codec_kwargs(args))
     if codec.rateless:
@@ -140,13 +145,22 @@ def _achieved_rank(decoder) -> int:
 
 def cmd_decode(args) -> int:
     """Build the decoder from the first frame, then feed it frames as they
-    are parsed until it can decode.  Every frame must share the first
-    frame's stream context; frames after the decodable point are never
-    parsed."""
-    frames = read_stream(_read_file(args.input))
+    are parsed until it can decode.  A first frame whose k*B exceeds the
+    stream's length is refused before any decoder is built.  Every frame
+    must share the first frame's stream context; frames after the
+    decodable point are never parsed."""
+    data = _read_file(args.input)
+    frames = read_stream(data)
     first = next(frames, None)
     if first is None:
         print("decode failed: stream holds no frames", file=sys.stderr)
+        return EXIT_DECODE_FAILURE
+    if first.k * first.packet_len > len(data):
+        print(
+            f"decode failed: k*B = {first.k * first.packet_len} payload bytes "
+            f"cannot come from a {len(data)}-byte stream",
+            file=sys.stderr,
+        )
         return EXIT_DECODE_FAILURE
     decoder = decoder_for(first)
     context = first.context

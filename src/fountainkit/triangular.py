@@ -177,16 +177,12 @@ class BitSubstitutionDecoder:
         if self.status is DecodeStatus.NEEDS_MORE:
             raise RuntimeError("bit system still has unknowns")
         nbits, bits = self.bits_per_packet, self._peeler.value
-        out = []
-        for i in range(self.k):
-            acc = 0
-            base = i * nbits
-            for s in range(nbits):
-                if bits[base + s]:
-                    acc |= 1 << s
-            out.append(acc.to_bytes(self.packet_len, "big"))
+        block = InputBlock(tuple(
+            sum(bits[i * nbits + s] << s for s in range(nbits)).to_bytes(self.packet_len, "big")
+            for i in range(self.k)
+        ))
         self.status = DecodeStatus.DECODED
-        return InputBlock(tuple(out))
+        return block
 
     def stall_report(self) -> BitStallReport:
         nbits = self.bits_per_packet

@@ -13,7 +13,9 @@ first frame it holds.  Header encodings by kind:
        LSB-first within each byte.
     4  GF(256) coefficients: k symbols, one byte per symbol.
     1  seed + degree: u64 seed, u16 degree.  Raptor packets append
-       u64 precode_seed, u32 redundant_count, u16 row_weight.
+       u64 precode_seed, u32 redundant_count, u16 row_weight; a
+       redundant_count above k + 64 (`MAX_EXTRA_REDUNDANT`) is malformed,
+       since the decoder allocates per redundant packet.
     2  row index of the Vandermonde generator: u32.
     5  row index of the systematic generator: u32.
     3  shift list: u16 count (= k), then count u16 slots; 0xFFFF marks
@@ -50,6 +52,9 @@ from .gf import GF2, GF256
 MAGIC = 0xEC
 VERSION = 0x02
 
+#: A raptor frame's redundant_count may exceed its k by at most this.
+MAX_EXTRA_REDUNDANT = 64
+
 _ABSENT = 0xFFFF
 _FIXED = struct.Struct(">BBBIIBH")  # magic, version, scheme, k, B, kind, header_len
 
@@ -70,6 +75,7 @@ def _encode_header(packet: CodedPacket) -> bytes:
             return bytes(out)
         return bytes(coeffs)
     if isinstance(h, RaptorSeed):
+        _check_redundant(h.redundant_count, packet.k)
         return struct.pack(
             ">QHQIH", h.seed, h.degree, h.precode_seed, h.redundant_count, h.row_weight
         )
@@ -101,6 +107,13 @@ def serialize(packet: CodedPacket) -> bytes:
     return fixed + header + packet.payload
 
 
+def _check_redundant(redundant_count: int, k: int) -> None:
+    if redundant_count > k + MAX_EXTRA_REDUNDANT:
+        raise PacketFormatError(
+            f"raptor redundant_count {redundant_count} exceeds k + {MAX_EXTRA_REDUNDANT}"
+        )
+
+
 def _decode_header(scheme: SchemeId, k: int, kind: int, data: bytes):
     if kind == HeaderKind.GF2_COEFFICIENTS:
         if len(data) != (k + 7) // 8:
@@ -119,6 +132,7 @@ def _decode_header(scheme: SchemeId, k: int, kind: int, data: bytes):
             if len(data) != 24:
                 raise PacketFormatError("raptor header must be 24 bytes")
             seed, degree, pseed, j, w = struct.unpack(">QHQIH", data)
+            _check_redundant(j, k)
             return RaptorSeed(seed, degree, pseed, j, w)
         if len(data) != 10:
             raise PacketFormatError("seed+degree header must be 10 bytes")

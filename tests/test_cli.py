@@ -5,23 +5,27 @@ import dataclasses
 import functools
 import io
 import random
+import struct
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fountainkit import cli
 from fountainkit.cli import CSV_COLUMNS, main
 from fountainkit.core import (
     CodedPacket,
     CoefficientVector,
+    HeaderKind,
     RowIndex,
     SchemeId,
     SeedDegree,
     ShiftList,
 )
-from fountainkit.wire import read_stream, serialize, write_stream
+from fountainkit.wire import MAGIC, VERSION, read_stream, serialize, write_stream
 
 
 @pytest.fixture
@@ -114,8 +118,16 @@ class TestEncodeDecode:
         short = tmp_path / "short.ec"
         short.write_bytes(write_stream(packets[:5]))
         out = tmp_path / "short.out"
+        capsys.readouterr()
+        # Five of eight frames cannot hold k*B payload bytes: refused up
+        # front.  Padded out with repeats they reach the decoder, which
+        # reports the rank it got to.
         assert run("decode", short, out) == 1
-        assert "rank" in capsys.readouterr().err
+        assert "k*B" in capsys.readouterr().err
+        short.write_bytes(write_stream(packets[:5] + packets[:3]))
+        assert run("decode", short, out) == 1
+        assert "rank 5 below k=8" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -169,6 +181,60 @@ class TestCraftedFrames:
         assert err.startswith("decode failed:")
         assert "rank" not in err
         assert not out.exists()
+
+
+    def test_frame_whose_k_times_b_exceeds_the_stream_is_refused_up_front(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A 25-byte LT frame announcing k = 200,000 used to build a decoder
+        # with 200,000 unknowns before failing for lack of packets.
+        stream = tmp_path / "huge-k.ec"
+        stream.write_bytes(
+            serialize(CodedPacket(SchemeId.LT, 200_000, 1, SeedDegree(1, 1), b"\0"))
+        )
+        assert stream.stat().st_size == 25
+
+        def no_decoder(frame):
+            raise AssertionError("decoder built for an impossible stream")
+
+        monkeypatch.setattr(cli, "decoder_for", no_decoder)
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run("decode", stream, tmp_path / "huge-k.out") == 1
+        assert time.perf_counter() - start < 0.5
+        assert "k*B = 200000" in capsys.readouterr().err
+
+    def test_raptor_frame_with_huge_redundant_count_is_malformed(self, tmp_path, capsys):
+        # The precode used to be rebuilt from a u32 redundant_count:
+        # 200,000 parity packets cost seconds and hundreds of MiB.
+        frame = (
+            struct.pack(">BBBIIBH", MAGIC, VERSION, SchemeId.RAPTOR, 1, 1,
+                        HeaderKind.SEED_DEGREE, 24)
+            + struct.pack(">QHQIH", 1, 1, 0, 200_000, 1)
+            + b"\0"
+        )
+        stream = tmp_path / "huge-redundant.ec"
+        stream.write_bytes(frame)
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run("decode", stream, tmp_path / "huge-redundant.out") == 1
+        assert time.perf_counter() - start < 0.5
+        assert "redundant_count 200000 exceeds k + 64" in capsys.readouterr().err
+
+    def test_encode_refuses_redundant_count_decode_would_refuse(
+        self, sample_file, tmp_path, capsys
+    ):
+        stream, out = tmp_path / "r.ec", tmp_path / "r.out"
+        assert run("encode", sample_file, stream, "--scheme", "raptor", "--k", 4,
+                   "--redundant", 4 + 64, "--seed", 3) == 0
+        assert run("decode", stream, out) == 0
+        assert out.read_bytes() == sample_file.read_bytes()
+        capsys.readouterr()
+        too_many = tmp_path / "too-many.ec"
+        assert run("encode", sample_file, too_many, "--scheme", "raptor", "--k", 4,
+                   "--redundant", 4 + 65) == 2
+        assert "--redundant 69 exceeds k + 64" in capsys.readouterr().err
+        assert not too_many.exists()
 
 
 class TestBench:
@@ -243,14 +309,16 @@ class TestMixedPacketLength:
     ):
         # The first frame of one encoding spliced onto the frames of the same
         # file at another B: refused at the stream boundary with exit 1, in
-        # either order, with no traceback and no output file.
+        # either order, with no traceback and no output file.  300 frames
+        # keep the spliced stream longer than the first frame's k*B, so the
+        # up-front length check does not pre-empt the boundary check.
         src = tmp_path / "input.bin"
         src.write_bytes(random.Random(3).randbytes(20_000))
         frames = {}
         for b in (first_b, rest_b):
             stream = tmp_path / f"b{b}.ec"
             assert run("encode", src, stream, "--scheme", scheme, "--k", 64,
-                       "--b", b, "--seed", 5) == 0
+                       "--b", b, "--seed", 5, "--count", 300) == 0
             frames[b] = list(read_stream(stream.read_bytes()))
         mixed = tmp_path / "mixed.ec"
         mixed.write_bytes(write_stream(frames[first_b][:1] + frames[rest_b]))

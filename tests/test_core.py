@@ -87,7 +87,7 @@ class TestWireRoundTrip:
         elif scheme == SchemeId.RAPTOR:
             header = RaptorSeed(
                 rng.randrange(1 << 64), rng.randrange(1, k + 1),
-                rng.randrange(1 << 64), rng.randrange(1 << 16), rng.randrange(1, k + 1),
+                rng.randrange(1 << 64), rng.randrange(k + 65), rng.randrange(1, k + 1),
             )
         else:
             slots = [None] * k
@@ -152,6 +152,23 @@ class TestWireRoundTrip:
         packets = [self._random_packet(rng, SchemeId.LT) for _ in range(20)]
         data = write_stream(packets)
         assert list(read_stream(data)) == packets
+
+    def test_raptor_redundant_count_bounded_by_k_plus_64(self):
+        # The decoder allocates per redundant packet, so the wire caps the
+        # field: k + 64 round-trips, k + 65 is malformed on both sides.
+        for redundant, ok in ((7 + 64, True), (7 + 65, False)):
+            p = CodedPacket(
+                SchemeId.RAPTOR, 7, 2, RaptorSeed(1, 1, 0, redundant, 1), b"ab"
+            )
+            if ok:
+                assert deserialize(serialize(p)) == p
+                continue
+            with pytest.raises(PacketFormatError, match="redundant_count"):
+                serialize(p)
+            frame = bytearray(serialize(dataclasses.replace(p, header=RaptorSeed(1, 1, 0, 0, 1))))
+            frame[14 + 18 : 14 + 22] = redundant.to_bytes(4, "big")
+            with pytest.raises(PacketFormatError, match="redundant_count"):
+                deserialize(bytes(frame))
 
     def test_version_mismatch_rejected(self):
         frame = bytearray(serialize(coeff_packet([1, 0], b"hi")))
