@@ -177,12 +177,16 @@ class BitSubstitutionDecoder:
         if self.status is DecodeStatus.NEEDS_MORE:
             raise RuntimeError("bit system still has unknowns")
         nbits, bits = self.bits_per_packet, self._peeler.value
-        block = InputBlock(tuple(
-            sum(bits[i * nbits + s] << s for s in range(nbits)).to_bytes(self.packet_len, "big")
-            for i in range(self.k)
-        ))
+        out = []
+        for i in range(self.k):
+            acc = 0
+            base = i * nbits
+            for s in range(nbits):
+                if bits[base + s]:
+                    acc |= 1 << s
+            out.append(acc.to_bytes(self.packet_len, "big"))
         self.status = DecodeStatus.DECODED
-        return block
+        return InputBlock(tuple(out))
 
     def stall_report(self) -> BitStallReport:
         nbits = self.bits_per_packet

@@ -75,7 +75,6 @@ def _encode_header(packet: CodedPacket) -> bytes:
             return bytes(out)
         return bytes(coeffs)
     if isinstance(h, RaptorSeed):
-        _check_redundant(h.redundant_count, packet.k)
         return struct.pack(
             ">QHQIH", h.seed, h.degree, h.precode_seed, h.redundant_count, h.row_weight
         )
@@ -107,13 +106,6 @@ def serialize(packet: CodedPacket) -> bytes:
     return fixed + header + packet.payload
 
 
-def _check_redundant(redundant_count: int, k: int) -> None:
-    if redundant_count > k + MAX_EXTRA_REDUNDANT:
-        raise PacketFormatError(
-            f"raptor redundant_count {redundant_count} exceeds k + {MAX_EXTRA_REDUNDANT}"
-        )
-
-
 def _decode_header(scheme: SchemeId, k: int, kind: int, data: bytes):
     if kind == HeaderKind.GF2_COEFFICIENTS:
         if len(data) != (k + 7) // 8:
@@ -132,7 +124,10 @@ def _decode_header(scheme: SchemeId, k: int, kind: int, data: bytes):
             if len(data) != 24:
                 raise PacketFormatError("raptor header must be 24 bytes")
             seed, degree, pseed, j, w = struct.unpack(">QHQIH", data)
-            _check_redundant(j, k)
+            if j > k + MAX_EXTRA_REDUNDANT:
+                raise PacketFormatError(
+                    f"raptor redundant_count {j} exceeds k + {MAX_EXTRA_REDUNDANT}"
+                )
             return RaptorSeed(seed, degree, pseed, j, w)
         if len(data) != 10:
             raise PacketFormatError("seed+degree header must be 10 bytes")
