@@ -166,9 +166,7 @@ class BitSubstitutionDecoder:
         spans = [(i * nbits - s, s, s + nbits) for i, s in zip(sv.participants, sv.shifts)]
         add = self._peeler.add
         for t in range(nbits + sv.max_shift):
-            support = [base + t for base, lo, hi in spans if lo <= t < hi]
-            if support:
-                add(support, (value >> t) & 1)
+            add([base + t for base, lo, hi in spans if lo <= t < hi], (value >> t) & 1)
         if not self._peeler.unresolved:
             self.status = DecodeStatus.DECODABLE
         return self.status
