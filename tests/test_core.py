@@ -156,13 +156,12 @@ class TestWireRoundTrip:
     def test_raptor_redundant_count_bounded_by_k_plus_64(self):
         # The decoder allocates per redundant packet, so a frame may carry
         # at most k + 64 of them.
-        for redundant in (7 + 64, 7 + 65):
-            p = CodedPacket(SchemeId.RAPTOR, 7, 2, RaptorSeed(1, 1, 0, redundant, 1), b"ab")
-            if redundant == 7 + 64:
-                assert deserialize(serialize(p)) == p
-            else:
-                with pytest.raises(PacketFormatError, match="redundant_count 72 exceeds"):
-                    deserialize(serialize(p))
+        def packet(redundant):
+            return CodedPacket(SchemeId.RAPTOR, 7, 2, RaptorSeed(1, 1, 0, redundant, 1), b"ab")
+
+        assert deserialize(serialize(packet(7 + 64))) == packet(7 + 64)
+        with pytest.raises(PacketFormatError, match="redundant_count 72 exceeds"):
+            deserialize(serialize(packet(7 + 65)))
 
     def test_version_mismatch_rejected(self):
         frame = bytearray(serialize(coeff_packet([1, 0], b"hi")))
