@@ -8,10 +8,13 @@ complement), which avoids double negatives in reports.
 Erasure draws come from one splitmix64 stream per client whose seeds are
 a prefix of a master stream, so adding clients never perturbs the
 erasures existing clients see, and every session replays bit-identically
-from its seed.  Coded sessions run until every client decodes or the
-transmission cap / fixed-rate budget runs out; the ARQ baseline resends
-every packet until all clients acknowledge it, with ACK frames tallied
-separately (lossless by default, optionally erased like data).
+from its seed.  A scripted reception pattern can stand in for the draw.
+Coded sessions run until every client decodes or the transmission cap /
+fixed-rate budget runs out; each client builds its decoder from the
+first packet it receives (`decoder_for`), as the CLI's `decode` does from
+a stream's first frame.  The ARQ baseline resends every packet until all
+clients acknowledge it, with ACK frames tallied separately (lossless by
+default, optionally erased like data).
 """
 
 from __future__ import annotations
@@ -79,6 +82,23 @@ class ChannelSpec:
             return 10 * k
         return math.ceil(10 * k / (1.0 - self.loss_prob))
 
+    def receptions(
+        self, pattern: Optional[Sequence[Sequence[int]]] = None
+    ) -> Iterator[list[int]]:
+        """The clients each transmission reaches, in transmission order.
+
+        They are drawn from the clients' erasure streams, or read from a
+        scripted `pattern`, which must last until the session ends:
+        running out of scripted transmissions first is an error."""
+        if pattern is not None:
+            yield from (list(reached) for reached in pattern)
+            raise ValueError(
+                f"pattern of {len(pattern)} transmissions is shorter than the session"
+            )
+        streams, loss = self.client_streams(), self.loss_prob
+        while True:
+            yield [i for i, s in enumerate(streams) if s.next_float() >= loss]
+
 
 @dataclass
 class SessionReport:
@@ -105,17 +125,56 @@ class SessionReport:
         return sum(values) / len(values) if values else None
 
 
+def _report(
+    scheme: str,
+    block: InputBlock,
+    channel: ChannelSpec,
+    start: float,
+    transmissions: int,
+    received: list[int],
+    done_at: list[Optional[int]],
+    counter: OpCounter,
+    ack_frames: int = 0,
+    exhausted: bool = False,
+) -> SessionReport:
+    """The report of a session that began at `start`.  `done_at[i]` is the
+    reception count at which client i held the block, None if it never
+    did; `exhausted` says that a fixed-rate stream ran out."""
+    k = block.k
+    failed = tuple(i for i, d in enumerate(done_at) if d is None)
+    return SessionReport(
+        scheme=scheme,
+        k=k,
+        packet_len=block.packet_len,
+        clients=channel.clients,
+        loss_prob=channel.loss_prob,
+        seed=channel.seed,
+        total_transmissions=transmissions,
+        retransmissions=max(transmissions - k, 0),
+        ack_frames=ack_frames,
+        per_client_received=tuple(received),
+        per_client_useful=tuple(
+            d if d is not None else r for d, r in zip(done_at, received)
+        ),
+        per_client_overhead=tuple(
+            (d / k - 1.0) if d is not None else None for d in done_at
+        ),
+        all_decoded=not failed,
+        failed_clients=failed,
+        fixed_rate_exhausted=exhausted and bool(failed),
+        op_counter=counter,
+        wall_time_s=time.perf_counter() - start,
+    )
+
+
 @dataclass
 class CodecSession:
-    """What the simulator needs from a codec: a fresh packet stream and a
-    fresh per-client decoder, both deterministic functions of the seed."""
+    """What the simulator needs from a codec: a fresh packet stream, a
+    deterministic function of the seed.  Decoders come from the packets."""
 
     name: str
-    k: int
-    packet_len: int
     rateless: bool
     stream_factory: Callable[[], Iterator[CodedPacket]]
-    decoder_factory: Callable[[], object]
     block: InputBlock
 
 
@@ -128,46 +187,28 @@ def make_codec_session(
     systematic: bool = False,
     field_order: int = 256,
     sparsity: float = 1.0,
-    dist: Optional[DegreeDistribution] = None,
     soliton_c: float = 0.1,
     soliton_delta: float = 0.5,
     redundant_count: Optional[int] = None,
     row_weight: int = 3,
 ) -> CodecSession:
-    """Bundle one of the five codecs for a simulated session."""
-    k, b = block.k, block.packet_len
+    """Bundle one of the five codecs' packet streams for a simulated
+    session.  The rateless streams never end."""
+    k = block.k
     if scheme == "rs":
         vspec = VandermondeSpec.default(k, n if n is not None else 2 * k, systematic)
-        return CodecSession(
-            "rs", k, b, False,
-            lambda: iter(rs_encode(block, vspec)),
-            lambda: rs_make_decoder(vspec, b),
-            block,
-        )
+        return CodecSession("rs", False, lambda: iter(rs_encode(block, vspec)), block)
     if scheme == "rl":
         spec = GF2 if field_order == 2 else GF256
         config = RlConfig(spec, k, sparsity=sparsity, seed=seed)
-
-        def rl_stream() -> Iterator[CodedPacket]:
-            enc = RlEncoder(config, block)
-            while True:
-                yield enc.next_packet()
-
         return CodecSession(
-            "rl", k, b, True, rl_stream, lambda: rl_make_decoder(config, b), block
+            "rl", True, lambda: iter(RlEncoder(config, block).next_packet, None), block
         )
     if scheme == "lt":
-        lt_dist = dist
-        if lt_dist is None:
-            lt_dist = default_distribution(k, soliton_c, soliton_delta)
-
-        def lt_stream() -> Iterator[CodedPacket]:
-            enc = LTEncoder(lt_dist, block, seed)
-            while True:
-                yield enc.next_packet()
-
+        lt_dist = default_distribution(k, soliton_c, soliton_delta)
         return CodecSession(
-            "lt", k, b, True, lt_stream, lambda: PeelingDecoder(k, b), block
+            "lt", True, lambda: iter(LTEncoder(lt_dist, block, seed).next_packet, None),
+            block,
         )
     if scheme == "raptor":
         if redundant_count is None:
@@ -175,19 +216,11 @@ def make_codec_session(
         pre = PrecodeSpec(
             k=k, redundant_count=redundant_count, row_weight=row_weight, seed=seed
         )
-        r_dist = dist
-        if r_dist is None:
-            r_dist = default_distribution(
-                pre.intermediate_count, soliton_c, soliton_delta
-            )
-
-        def raptor_stream() -> Iterator[CodedPacket]:
-            enc = RaptorEncoder(block, r_dist, pre, seed)
-            while True:
-                yield enc.next_packet()
-
+        r_dist = default_distribution(pre.intermediate_count, soliton_c, soliton_delta)
         return CodecSession(
-            "raptor", k, b, True, raptor_stream, lambda: RaptorDecoder(k, b), block
+            "raptor", True,
+            lambda: iter(RaptorEncoder(block, r_dist, pre, seed).next_packet, None),
+            block,
         )
     if scheme == "triangular":
 
@@ -195,10 +228,7 @@ def make_codec_session(
             for sv in planned_shift_stream(k, seed):
                 yield tri_encode(block, sv)
 
-        return CodecSession(
-            "triangular", k, b, True, tri_stream,
-            lambda: BitSubstitutionDecoder(k, b), block,
-        )
+        return CodecSession("triangular", True, tri_stream, block)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -233,48 +263,23 @@ def decoder_for(frame: CodedPacket):
 
 
 class Session:
-    """One multicast delivery of one block to N clients."""
+    """One multicast delivery of one block to N clients.  Each client's
+    decoder is `decoder_for` of the first packet that client receives."""
 
-    def __init__(
-        self,
-        codec: CodecSession,
-        channel: ChannelSpec,
-        cap: Optional[int] = None,
-    ):
+    def __init__(self, codec: CodecSession, channel: ChannelSpec):
         self.codec = codec
         self.channel = channel
-        self.cap = cap if cap is not None else channel.default_cap(codec.k)
 
-    def run(self) -> SessionReport:
-        streams = self.channel.client_streams()
-        return self._run(
-            lambda _t: [
-                i
-                for i, s in enumerate(streams)
-                if s.next_float() >= self.channel.loss_prob
-            ]
-        )
-
-    def force_pattern(self, pattern: Sequence[Sequence[int]]) -> SessionReport:
-        """Replace stochastic erasure with a scripted reception pattern.
-
-        The pattern must last until every client decodes (or the fixed-rate
-        budget ends); running out of scripted transmissions first is an
-        error."""
-        def scripted(t: int) -> list[int]:
-            if t >= len(pattern):
-                raise ValueError(
-                    f"pattern of {len(pattern)} transmissions is shorter than the session"
-                )
-            return list(pattern[t])
-
-        return self._run(scripted)
-
-    def _run(self, receivers_of, cap: Optional[int] = None) -> SessionReport:
+    def run(self, pattern: Optional[Sequence[Sequence[int]]] = None) -> SessionReport:
+        """Transmit until every client decodes, the channel's cap is
+        reached or a fixed-rate stream ends.  A scripted `pattern` replaces
+        the erasure draw (`ChannelSpec.receptions`)."""
         start = time.perf_counter()
+        block = self.codec.block
         n_clients = self.channel.clients
-        cap = cap if cap is not None else self.cap
-        decoders = [self.codec.decoder_factory() for _ in range(n_clients)]
+        cap = self.channel.default_cap(block.k)
+        receptions = self.channel.receptions(pattern)
+        decoders: list = [None] * n_clients
         received = [0] * n_clients
         useful: list[Optional[int]] = [None] * n_clients
         stream = self.codec.stream_factory()
@@ -285,60 +290,33 @@ class Session:
             if packet is None:
                 exhausted = True
                 break
-            reached = receivers_of(transmissions)
+            reached = next(receptions)
             transmissions += 1
             for i in reached:
                 received[i] += 1
                 if useful[i] is not None:
                     continue
+                if decoders[i] is None:
+                    decoders[i] = decoder_for(packet)
                 status = decoders[i].ingest(packet)
                 if status is not DecodeStatus.NEEDS_MORE:
                     useful[i] = received[i]
-                    if decoders[i].decode() != self.codec.block:
+                    if decoders[i].decode() != block:
                         raise AssertionError("decoder returned a wrong block")
         counter = OpCounter()
         for d in decoders:
-            counter.merge(d.counter)
-        failed = tuple(i for i, u in enumerate(useful) if u is None)
-        overheads = tuple(
-            (u / self.codec.k - 1.0) if u is not None else None for u in useful
+            if d is not None:
+                counter.merge(d.counter)
+        return _report(
+            self.codec.name, block, self.channel, start, transmissions, received,
+            useful, counter, exhausted=exhausted,
         )
-        return SessionReport(
-            scheme=self.codec.name,
-            k=self.codec.k,
-            packet_len=self.codec.packet_len,
-            clients=n_clients,
-            loss_prob=self.channel.loss_prob,
-            seed=self.channel.seed,
-            total_transmissions=transmissions,
-            retransmissions=max(transmissions - self.codec.k, 0),
-            ack_frames=0,
-            per_client_received=tuple(received),
-            per_client_useful=tuple(u if u is not None else r for u, r in zip(useful, received)),
-            per_client_overhead=overheads,
-            all_decoded=not failed,
-            failed_clients=failed,
-            fixed_rate_exhausted=exhausted and bool(failed),
-            op_counter=counter,
-            wall_time_s=time.perf_counter() - start,
-        )
-
-
-def run_session(
-    codec: CodecSession, channel: ChannelSpec, cap: Optional[int] = None
-) -> SessionReport:
-    return Session(codec, channel, cap).run()
-
-
-def force_pattern(session: Session, pattern: Sequence[Sequence[int]]) -> SessionReport:
-    return session.force_pattern(pattern)
 
 
 def run_arq_baseline(
     block: InputBlock,
     channel: ChannelSpec,
     lossy_acks: bool = False,
-    cap: Optional[int] = None,
     pattern: Optional[Sequence[Sequence[int]]] = None,
 ) -> SessionReport:
     """Uncoded send-and-acknowledge baseline.
@@ -346,13 +324,14 @@ def run_arq_baseline(
     Every packet is retransmitted until the server holds an ACK from every
     client for it.  ACK frames are lossless unless `lossy_acks`, in which
     case they are erased with the data loss probability and the server
-    retransmits packets it believes missing.
+    retransmits packets it believes missing.  A scripted `pattern`
+    replaces the data erasure draw, as in `Session.run`.
     """
     start = time.perf_counter()
     n_clients = channel.clients
     k = block.k
-    cap = cap if cap is not None else channel.default_cap(k)
-    data_streams = channel.client_streams()
+    cap = channel.default_cap(k)
+    receptions = channel.receptions(pattern)
     ack_streams = channel.client_streams(_ACK_STREAM_SALT)
     holds = [[False] * k for _ in range(n_clients)]
     acked = [[False] * k for _ in range(n_clients)]
@@ -360,19 +339,6 @@ def run_arq_baseline(
     done_at: list[Optional[int]] = [None] * n_clients
     transmissions = 0
     ack_frames = 0
-
-    def receivers_of(t: int) -> list[int]:
-        if pattern is not None:
-            if t >= len(pattern):
-                raise ValueError(
-                    f"pattern of {len(pattern)} transmissions is shorter than the session"
-                )
-            return list(pattern[t])
-        return [
-            i
-            for i, s in enumerate(data_streams)
-            if s.next_float() >= channel.loss_prob
-        ]
 
     # Round-robin sweeps: each pass sends every packet some client has
     # not yet acknowledged, until all are acknowledged everywhere.
@@ -385,7 +351,7 @@ def run_arq_baseline(
             if transmissions >= cap:
                 break
             pending = True
-            reached = receivers_of(transmissions)
+            reached = next(receptions)
             transmissions += 1
             for i in reached:
                 received[i] += 1
@@ -399,29 +365,7 @@ def run_arq_baseline(
                 )
                 if not ack_lost:
                     acked[i][packet] = True
-    failed = tuple(i for i, d in enumerate(done_at) if d is None)
-    overheads = tuple(
-        (d / k - 1.0) if d is not None else None for d in done_at
-    )
-    counter = OpCounter()
-    return SessionReport(
-        scheme="arq",
-        k=k,
-        packet_len=block.packet_len,
-        clients=n_clients,
-        loss_prob=channel.loss_prob,
-        seed=channel.seed,
-        total_transmissions=transmissions,
-        retransmissions=max(transmissions - k, 0),
-        ack_frames=ack_frames,
-        per_client_received=tuple(received),
-        per_client_useful=tuple(
-            d if d is not None else r for d, r in zip(done_at, received)
-        ),
-        per_client_overhead=overheads,
-        all_decoded=not failed,
-        failed_clients=failed,
-        fixed_rate_exhausted=False,
-        op_counter=counter,
-        wall_time_s=time.perf_counter() - start,
+    return _report(
+        "arq", block, channel, start, transmissions, received, done_at,
+        OpCounter(), ack_frames=ack_frames,
     )

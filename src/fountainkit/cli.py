@@ -135,12 +135,13 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _achieved_rank(decoder) -> int:
-    for attr in ("rank", "decoded_count", "decoded_bits"):
-        value = getattr(decoder, attr, None)
-        if value is not None:
-            return value
-    return 0
+def _shortfall(decoder, k: int) -> str:
+    """What a decoder that cannot decode has reached: its rank over the
+    k inputs or, for the peeling decoders, which track no rank, how many
+    of the k inputs it recovered."""
+    if hasattr(decoder, "rank"):
+        return f"rank {decoder.rank} below k={k}"
+    return f"{decoder.decoded_count} of k={k} inputs recovered"
 
 
 def cmd_decode(args) -> int:
@@ -173,7 +174,7 @@ def cmd_decode(args) -> int:
             break
     else:
         print(
-            f"decode failed: rank {_achieved_rank(decoder)} below k={first.k}",
+            f"decode failed: {_shortfall(decoder, first.k)}",
             file=sys.stderr,
         )
         return EXIT_DECODE_FAILURE

@@ -403,9 +403,16 @@ def packet_support(packet: CodedPacket, n: Optional[int] = None) -> list[int]:
 
 
 def tanner_graph(packets: Iterable[CodedPacket], k: int) -> TannerGraph:
+    """Graph of binary packets over k inputs.  Raptor packets are refused:
+    their neighbours lie among the k + redundant_count intermediate
+    slots, not the inputs."""
     edges = []
     count = 0
     for idx, p in enumerate(packets):
+        if isinstance(p.header, RaptorSeed):
+            raise SchemeMismatchError(
+                "raptor packets have no Tanner graph over the inputs"
+            )
         count += 1
         for j in packet_support(p, k):
             edges.append((idx, j))

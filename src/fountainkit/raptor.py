@@ -304,22 +304,22 @@ class RaptorDecoder:
     """Streaming inactivation decoder for simulated sessions and the CLI.
 
     One `_Inactivation` engine is built on the first packet (precode
-    parameters from its header unless a spec was given) and every packet
-    is peeled into it once.  From the k-th packet on, each packet is
-    followed by one decode attempt; after the first attempt only the small
-    dense core is solved again.  `counter` is the engine's counter, so it
+    parameters from its header) and every packet is peeled into it once.
+    From the k-th packet on, each packet is followed by one decode
+    attempt; after the first attempt only the small dense core is solved
+    again.  `counter` is the engine's counter, so it
     holds all the work the session did, failed attempts included.
     """
 
     scheme = SchemeId.RAPTOR
 
-    def __init__(self, k: int, packet_len: int, spec: Optional[PrecodeSpec] = None):
+    def __init__(self, k: int, packet_len: int):
         self.k = k
         self.packet_len = packet_len
         self.counter = OpCounter()
         self.status = DecodeStatus.NEEDS_MORE
         self.packets_seen = 0
-        self._spec = spec
+        self._spec: Optional[PrecodeSpec] = None
         self._engine: Optional[_Inactivation] = None
         self._block: Optional[InputBlock] = None
         self.last_result: Optional[InactivationResult] = None
@@ -346,8 +346,8 @@ class RaptorDecoder:
         return self.status
 
     def _precode(self, header) -> PrecodeSpec:
-        """The decoder's precode, fixed by the first packet's header unless
-        a spec was given; every later precode header must agree with it."""
+        """The decoder's precode, fixed by the first packet's header; every
+        later precode header must agree with it."""
         spec = self._spec
         if spec is None:
             spec = self._spec = _header_spec(header, self.k)
@@ -359,7 +359,12 @@ class RaptorDecoder:
 
     @property
     def rank(self) -> int:
-        return self.last_result.rank if self.last_result else 0
+        """Rank over the k inputs.  The last attempt's rank is over the
+        k + redundant_count intermediate slots, and each parity row adds
+        exactly one to it, since each alone holds its own parity slot."""
+        if self.last_result is None:
+            return 0
+        return self.last_result.rank - self._spec.redundant_count
 
     def decode(self) -> InputBlock:
         if self._block is None:

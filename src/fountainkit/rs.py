@@ -71,7 +71,10 @@ class VandermondeSpec:
             raise ValueError("evaluation points must be nonzero field elements")
 
     @classmethod
+    @lru_cache(maxsize=64)
     def default(cls, k: int, n: int, systematic: bool = False) -> "VandermondeSpec":
+        """The spec on the first n points, built and validated once per
+        argument tuple: every session client of an RS stream asks for it."""
         return cls(k=k, n=n, points=default_points(n), systematic=systematic)
 
 

@@ -95,15 +95,18 @@ def tri_encode(block: InputBlock, sv: ShiftVector) -> CodedPacket:
     )
 
 
-def _shift_vector_of(packet: CodedPacket) -> ShiftVector:
-    """Shift view of a packet: native shift lists, or any binary-linear
-    header treated as an all-shift-0 packet."""
+def _shifts_of(packet: CodedPacket) -> list[tuple[int, int]]:
+    """(participant, shift) pairs of a packet: native shift lists, or any
+    binary-linear header treated as an all-shift-0 packet.  An all-zero
+    coefficient vector has no pairs, and every bit equation it gives has
+    no unknowns: the engine counts them redundant, as `PeelingDecoder`
+    counts the packet."""
     h = packet.header
     if isinstance(h, ShiftList):
-        return ShiftVector.from_header(h)
+        sv = ShiftVector.from_header(h)
+        return list(zip(sv.participants, sv.shifts))
     if isinstance(h, (CoefficientVector, SeedDegree)):
-        support = packet_support(packet)
-        return ShiftVector(tuple(support), (0,) * len(support))
+        return [(i, 0) for i in packet_support(packet)]
     raise SchemeMismatchError(
         f"{type(h).__name__} packets cannot join a bit-substitution decode"
     )
@@ -153,9 +156,14 @@ class BitSubstitutionDecoder:
     def decoded_bits(self) -> int:
         return len(self._peeler.value) - self._peeler.unresolved
 
+    @property
+    def decoded_count(self) -> int:
+        """Inputs with every bit resolved."""
+        return self.k - len(self.stall_report().unresolved_inputs)
+
     def ingest(self, packet: CodedPacket) -> DecodeStatus:
         check_packet(packet, self.k, self.packet_len, *self.schemes)
-        sv = _shift_vector_of(packet)
+        pairs = _shifts_of(packet)
         self.packets_seen += 1
         if self.status is not DecodeStatus.NEEDS_MORE:
             return self.status
@@ -163,9 +171,9 @@ class BitSubstitutionDecoder:
         value = int.from_bytes(packet.payload, "big")
         # Coded bit t holds bit t - s of each participant whose shift s
         # places that bit inside it: unknown base + t with base = i·8B - s.
-        spans = [(i * nbits - s, s, s + nbits) for i, s in zip(sv.participants, sv.shifts)]
+        spans = [(i * nbits - s, s, s + nbits) for i, s in pairs]
         add = self._peeler.add
-        for t in range(nbits + sv.max_shift):
+        for t in range(nbits + max((s for _, s in pairs), default=0)):
             add([base + t for base, lo, hi in spans if lo <= t < hi], (value >> t) & 1)
         if not self._peeler.unresolved:
             self.status = DecodeStatus.DECODABLE

@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from fountainkit.bec import ChannelSpec, Session, force_pattern, make_codec_session, run_arq_baseline
+from fountainkit.bec import ChannelSpec, Session, make_codec_session, run_arq_baseline
 from fountainkit.cli import main as cli_main
 from fountainkit.core import (
     CodedPacket,
@@ -380,8 +380,8 @@ def test_criterion_11_single_coded_retransmission():
             xor_packet({0, 1}, xor_bytes(c1, c2), 2),
         ]
     )
-    coded = force_pattern(
-        Session(codec, ChannelSpec(0.5, 2, seed=1)), [[0], [1], [0, 1]]
+    coded = Session(codec, ChannelSpec(0.5, 2, seed=1)).run(
+        pattern=[[0], [1], [0, 1]]
     )
     assert coded.all_decoded
     assert coded.retransmissions == 1

@@ -7,10 +7,8 @@ import pytest
 from fountainkit.bec import (
     ChannelSpec,
     Session,
-    force_pattern,
     make_codec_session,
     run_arq_baseline,
-    run_session,
 )
 from fountainkit.core import (
     CodedPacket,
@@ -53,7 +51,7 @@ class TestCodedSessions:
         blk = block(8, seed=1)
         for scheme, kwargs in (("rl", {"field_order": 256}), ("triangular", {})):
             codec = make_codec_session(scheme, blk, seed=2, **kwargs)
-            report = run_session(codec, ChannelSpec(0.0, 3, seed=3))
+            report = Session(codec, ChannelSpec(0.0, 3, seed=3)).run()
             assert report.all_decoded
             assert report.total_transmissions == 8
             assert report.mean_overhead() == 0.0
@@ -61,7 +59,7 @@ class TestCodedSessions:
     def test_total_loss_hits_cap(self):
         blk = block(6, seed=2)
         codec = make_codec_session("lt", blk, seed=4)
-        report = run_session(codec, ChannelSpec(1.0, 1, seed=5))
+        report = Session(codec, ChannelSpec(1.0, 1, seed=5)).run()
         assert not report.all_decoded
         assert report.total_transmissions == 60  # cap 10k
         assert report.failed_clients == (0,)
@@ -69,9 +67,9 @@ class TestCodedSessions:
     def test_replay_is_bit_identical(self):
         blk = block(10, seed=3)
         reports = [
-            run_session(
+            Session(
                 make_codec_session("raptor", blk, seed=6), ChannelSpec(0.25, 2, seed=7)
-            )
+            ).run()
             for _ in range(2)
         ]
         a, b = reports
@@ -94,7 +92,7 @@ class TestCodedSessions:
         blk = block(8, seed=4)
         for scheme in ("rs", "rl", "lt", "raptor", "triangular"):
             codec = make_codec_session(scheme, blk, seed=8, n=40)
-            report = run_session(codec, ChannelSpec(0.3, 2, seed=9))
+            report = Session(codec, ChannelSpec(0.3, 2, seed=9)).run()
             assert report.all_decoded, scheme
             assert all(e is not None and e >= 0 for e in report.per_client_overhead)
 
@@ -103,13 +101,13 @@ class TestCodedSessions:
             blk = block(6, b=1, seed=seed + 20)
             for scheme in ("rl", "lt", "raptor", "triangular"):
                 codec = make_codec_session(scheme, blk, seed=seed)
-                report = run_session(codec, ChannelSpec(0.5, 1, seed=seed))
+                report = Session(codec, ChannelSpec(0.5, 1, seed=seed)).run()
                 assert report.all_decoded, (scheme, seed)
 
     def test_fixed_rate_budget_exhaustion_flagged(self):
         blk = block(4, seed=5)
         codec = make_codec_session("rs", blk, seed=1, n=5)
-        report = run_session(codec, ChannelSpec(0.9, 1, seed=11))
+        report = Session(codec, ChannelSpec(0.9, 1, seed=11)).run()
         assert not report.all_decoded
         assert report.fixed_rate_exhausted
 
@@ -121,7 +119,7 @@ class TestCodedSessions:
         for t in range(trials):
             blk = block(k, b=1, seed=t)
             codec = make_codec_session("rl", blk, seed=t, field_order=256)
-            report = run_session(codec, ChannelSpec(0.0, 1, seed=t))
+            report = Session(codec, ChannelSpec(0.0, 1, seed=t)).run()
             assert report.all_decoded
             total += report.per_client_useful[0]
         expected = k
@@ -135,20 +133,24 @@ class TestForcedPatterns:
     def test_all_receive_equals_lossless(self):
         blk = block(5, seed=6)
         codec = make_codec_session("rl", blk, seed=12, field_order=256)
-        stochastic = run_session(codec, ChannelSpec(0.0, 2, seed=13))
-        forced = force_pattern(
-            Session(codec, ChannelSpec(0.5, 2, seed=13)),
-            [[0, 1]] * 10,
+        stochastic = Session(codec, ChannelSpec(0.0, 2, seed=13)).run()
+        forced = Session(codec, ChannelSpec(0.5, 2, seed=13)).run(
+            pattern=[[0, 1]] * 10,
         )
         assert forced.all_decoded
         assert forced.total_transmissions == stochastic.total_transmissions
 
-    def test_pattern_too_short_is_an_error(self):
+    @pytest.mark.parametrize("kind", ["coded", "arq"])
+    def test_pattern_too_short_is_an_error(self, kind):
+        # Coded and ARQ sessions share the scripted draw and its check.
         blk = block(5, seed=7)
-        codec = make_codec_session("rl", blk, seed=14, field_order=2)
-        session = Session(codec, ChannelSpec(0.5, 2, seed=15))
-        with pytest.raises(ValueError):
-            session.force_pattern([[0, 1], [0, 1]])
+        channel = ChannelSpec(0.5, 2, seed=15)
+        with pytest.raises(ValueError, match="shorter than the session"):
+            if kind == "arq":
+                run_arq_baseline(blk, channel, pattern=[[0, 1], [0, 1]])
+            else:
+                codec = make_codec_session("rl", blk, seed=14, field_order=2)
+                Session(codec, channel).run(pattern=[[0, 1], [0, 1]])
 
     def test_crossover_coded_beats_arq(self):
         # Two clients each miss a different packet; one XOR packet repairs
@@ -169,8 +171,8 @@ class TestForcedPatterns:
                 xor_packet({0, 1}, xor_bytes(c1, c2), 2),
             ]
         )
-        coded = force_pattern(
-            Session(codec, ChannelSpec(0.5, 2, seed=18)), [[0], [1], [0, 1]]
+        coded = Session(codec, ChannelSpec(0.5, 2, seed=18)).run(
+            pattern=[[0], [1], [0, 1]]
         )
         assert coded.all_decoded
         assert coded.retransmissions == 1

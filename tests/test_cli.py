@@ -128,6 +128,22 @@ class TestEncodeDecode:
         assert run("decode", short, out) == 1
         assert "rank 5 below k=8" in capsys.readouterr().err
         assert not out.exists()
+        # Raptor's rank is over the k inputs, not over the k +
+        # redundant_count intermediate slots (35 of those here).  The
+        # peeling decoders track no rank: the bit decoder had resolved 26
+        # bits but no whole input.
+        for scheme, k, count, seed, kept, repeats, message in (
+            ("raptor", 32, 40, 3, 30, 5, "rank 29 below k=32"),
+            ("triangular", 8, 3 * 8 + 8, 0, 7, 3, "0 of k=8 inputs recovered"),
+        ):
+            assert run("encode", sample_file, stream, "--scheme", scheme, "--k", k,
+                       "--count", count, "--seed", seed) == 0
+            packets = list(read_stream(stream.read_bytes()))
+            short.write_bytes(write_stream(packets[:kept] + packets[:repeats]))
+            capsys.readouterr()
+            assert run("decode", short, out) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestExitCodes:

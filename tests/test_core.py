@@ -355,3 +355,11 @@ class TestTannerGraph:
     def test_non_binary_rejected(self):
         with pytest.raises(SchemeMismatchError):
             tanner_graph([coeff_packet([2, 1], b"x")], 2)
+
+    def test_raptor_packets_rejected(self):
+        # Raptor neighbours are drawn over the k + redundant_count
+        # intermediate slots, so a graph over the k inputs would show
+        # edges the packets do not have.
+        _, enc = fountain("raptor", 20, 4)
+        with pytest.raises(SchemeMismatchError, match="raptor"):
+            tanner_graph([enc.next_packet() for _ in range(6)], 20)

@@ -254,11 +254,6 @@ class TestDecoderPrecodeHeaders:
         with pytest.raises(SchemeMismatchError, match="precode"):
             dec.ingest(self._packets(precode_seed=2)[1])
 
-    def test_packet_disagreeing_with_explicit_spec_refused(self):
-        spec = PrecodeSpec(k=12, redundant_count=5, row_weight=3, seed=2)
-        with pytest.raises(SchemeMismatchError, match="precode"):
-            RaptorDecoder(12, 4, spec).ingest(self._packets(precode_seed=1)[0])
-
     def test_impossible_precode_header_is_format_error(self):
         p = self._packets(precode_seed=1)[0]
         bad = dataclasses.replace(p, header=dataclasses.replace(p.header, row_weight=13))

@@ -120,6 +120,18 @@ class TestDecode:
         assert dec.decode() == blk
         assert dec.status is DecodeStatus.DECODED
 
+    def test_all_zero_binary_packet_is_redundant(self):
+        # A GF(2) random linear packet with no participants adds nothing:
+        # `PeelingDecoder` counts it redundant, and the bit decoder must
+        # take it too rather than raise.
+        blk = block(2, seed=14)
+        dec = BitSubstitutionDecoder(2, blk.packet_len)
+        assert dec.ingest(xor_packet(set(), bytes(blk.packet_len), 2)) is DecodeStatus.NEEDS_MORE
+        assert dec.decoded_bits == 0
+        dec.ingest(tri_encode(blk, ShiftVector((0, 1), (0, 0))))
+        assert dec.ingest(tri_encode(blk, ShiftVector((0, 1), (0, 1)))) is DecodeStatus.DECODABLE
+        assert dec.decode() == blk
+
     @pytest.mark.parametrize("b,pad", [(4, 0), (8, -1), (8, 1)])
     def test_packet_of_another_b_or_payload_length_refused(self, b, pad):
         # A B = 8 decoder takes only packets with B = 8 and a payload of
