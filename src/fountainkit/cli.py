@@ -188,9 +188,7 @@ def cmd_decode(args) -> int:
 
 
 def _trial_block(k: int, b: int, rng: SplitMix64) -> InputBlock:
-    return InputBlock(
-        tuple(bytes(rng.next_below(256) for _ in range(b)) for _ in range(k))
-    )
+    return InputBlock(tuple(bytes(rng.below_many(256, b)) for _ in range(k)))
 
 
 def _run_trials(scheme, k, b, loss, clients, trials, seed, args):

@@ -209,11 +209,24 @@ def linear_combine(
     return acc.to_bytes(len(packets[0]), "big")
 
 
+# The last draw, (seed, degree, n, neighbors), replaced in one
+# assignment.  In process, the decoders fed a packet right after it was
+# encoded (a session's clients, the decoder of `lt_overhead_trial`) reuse
+# the encoder's draw; a decoder of parsed frames misses and draws anew.
+_last_draw: tuple = (None, None, None, ())
+
+
 def regenerate_neighbors(seed: int, degree: int, n: int) -> list[int]:
     """Neighbor set encoded by a SeedDegree header: `degree` distinct
     indices from [0, n), drawn from splitmix64(seed) with duplicate
-    rejection."""
-    return SplitMix64(seed).sample_distinct(n, degree)
+    rejection.  Each call returns a fresh list."""
+    global _last_draw
+    last = _last_draw
+    if last[0] == seed and last[1] == degree and last[2] == n:
+        return list(last[3])
+    neighbors = SplitMix64(seed).sample_distinct(n, degree)
+    _last_draw = (seed, degree, n, tuple(neighbors))
+    return neighbors
 
 
 def check_packet(
@@ -287,9 +300,6 @@ class LinearDecoder:
 
     def ingest(self, packet: CodedPacket) -> DecodeStatus:
         check_packet(packet, self.k, self.packet_len, self.scheme)
-        if self.status is DecodeStatus.DECODED:
-            self.non_innovative_count += 1
-            return self.status
         coeffs = list(self._coefficients_of(packet))
         if len(coeffs) != self.k:
             raise ValueError("coding vector length must equal k")
@@ -297,6 +307,11 @@ class LinearDecoder:
             raise SchemeMismatchError(
                 f"coefficients outside GF({self.spec.order}) in a {packet.scheme.name} packet"
             )
+        if self.status is not DecodeStatus.NEEDS_MORE:
+            # A late packet: the block is already determined, so it is
+            # counted and not reduced.
+            self.non_innovative_count += 1
+            return self.status
         if self._reduce(self._ops.pack(coeffs), packet.payload):
             self.accepted_count += 1
             if self.accepted_count == self.k:

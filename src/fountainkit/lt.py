@@ -384,9 +384,7 @@ def lt_overhead_trial(
     cap = cap if cap is not None else 10 * k
     rng = SplitMix64(seed ^ 0xB10CDA7A)
     block = InputBlock(
-        tuple(
-            bytes(rng.next_below(256) for _ in range(packet_len)) for _ in range(k)
-        )
+        tuple(bytes(rng.below_many(256, packet_len)) for _ in range(k))
     )
     encoder = LTEncoder(dist, block, seed)
     decoder = PeelingDecoder(k, packet_len)

@@ -43,6 +43,29 @@ class SplitMix64:
             if v < limit:
                 return v % n
 
+    def below_many(self, n: int, count: int) -> list[int]:
+        """`count` draws from [0, n): the values, and the end state, of
+        `count` calls of `next_below(n)`, with its rejection loop and the
+        splitmix64 step inlined."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        limit = (1 << 64) - ((1 << 64) % n)
+        gamma, mask, mix1, mix2 = _GAMMA, _MASK64, _MIX1, _MIX2
+        state = self._state
+        out: list[int] = []
+        append = out.append
+        for _ in range(count):
+            while True:
+                state = (state + gamma) & mask
+                z = ((state ^ (state >> 30)) * mix1) & mask
+                z = ((z ^ (z >> 27)) * mix2) & mask
+                v = z ^ (z >> 31)
+                if v < limit:
+                    break
+            append(v % n)
+        self._state = state
+        return out
+
     def sample_distinct(self, n: int, count: int) -> list[int]:
         """`count` distinct integers from [0, n), by rejection of duplicates.
 

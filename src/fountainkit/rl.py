@@ -47,7 +47,7 @@ class RlEncoder:
         order = cfg.spec.order
         while True:
             if cfg.sparsity >= 1.0:
-                vec = tuple(self._rng.next_below(order) for _ in range(cfg.k))
+                vec = tuple(self._rng.below_many(order, cfg.k))
             else:
                 vec = tuple(
                     (self._rng.next_below(order - 1) + 1)

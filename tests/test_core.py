@@ -18,6 +18,8 @@ from fountainkit.core import (
     SeedDegree,
     ShiftList,
     linear_combine,
+    packet_support,
+    regenerate_neighbors,
     tanner_graph,
 )
 from fountainkit.errors import (
@@ -30,7 +32,9 @@ from fountainkit.errors import (
 from fountainkit.gf import GF2, GF256
 from fountainkit.linalg import FieldMatrix, rank, xor_bytes
 from fountainkit.lt import LTEncoder, PeelingDecoder, robust_soliton
+from fountainkit.prng import SplitMix64
 from fountainkit.raptor import PrecodeSpec, RaptorDecoder, RaptorEncoder
+from fountainkit.rl import RlConfig, RlEncoder, make_decoder
 from fountainkit.wire import deserialize, read_stream, serialize, write_stream
 
 
@@ -278,6 +282,52 @@ class TestLinearDecoder:
             v = tuple(rng.randrange(256) for _ in range(4))
             dec.ingest(coeff_packet(v, linear_combine(blk.packets, v, GF256)))
         assert dec.decode() == blk
+
+    def test_late_packets_do_no_work(self):
+        blk = block(k=8, b=16, seed=27)
+        config = RlConfig(GF256, 8, seed=28)
+        enc, dec = RlEncoder(config, blk), make_decoder(config, 16)
+        while dec.status is DecodeStatus.NEEDS_MORE:
+            dec.ingest(enc.next_packet())
+        row_xor, sym_mul = dec.counter.row_xor_count, dec.counter.symbol_mul_count
+        non_innovative = dec.non_innovative_count
+        for _ in range(5):
+            assert dec.ingest(enc.next_packet()) is DecodeStatus.DECODABLE
+        assert (dec.counter.row_xor_count, dec.counter.symbol_mul_count) == (row_xor, sym_mul)
+        assert dec.non_innovative_count == non_innovative + 5
+        assert dec.decode() == blk
+
+    def test_late_packet_is_still_checked(self):
+        blk = block()
+        dec = self._decoder()
+        for v in [(1, 1, 0), (0, 1, 1), (1, 1, 1)]:
+            dec.ingest(coeff_packet(v, linear_combine(blk.packets, v, GF2)))
+        assert dec.decode() == blk
+        with pytest.raises(SchemeMismatchError):
+            dec.ingest(coeff_packet([2, 0, 0], bytes(4)))
+        assert dec.non_innovative_count == 0
+
+
+class TestNeighborMemo:
+    def test_returned_list_is_the_callers_own(self):
+        first = regenerate_neighbors(11, 5, 40)
+        expected = list(first)
+        first.append(99)
+        first[0] = -1
+        assert regenerate_neighbors(11, 5, 40) == expected
+        again = regenerate_neighbors(11, 5, 40)
+        again.clear()
+        assert regenerate_neighbors(11, 5, 40) == expected
+
+    def test_other_header_gets_its_own_support(self):
+        k = 32
+        p = LTEncoder(robust_soliton(k, 0.2, 0.5), block(k, 4), seed=6).next_packet()
+        d = p.header.degree
+        other = dataclasses.replace(p, header=SeedDegree(p.header.seed + 1, d))
+        assert packet_support(other) == sorted(
+            SplitMix64(p.header.seed + 1).sample_distinct(k, d)
+        )
+        assert packet_support(other) != packet_support(p)
 
 
 def fountain(kind, k, b, seed=3):

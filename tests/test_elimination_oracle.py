@@ -8,6 +8,11 @@ routines were merged into one body per field-independent routine, so any
 change of result, pivot order or count shows up here.  It was re-recorded
 once, when `solve` on fewer rows than unknowns began to report the rank
 of its rows instead of their number; only those `solve` ranks moved.
+It was re-recorded a second time when `LinearDecoder` stopped reducing
+packets that arrive after DECODABLE: only the counters of the decoder
+records with such late packets moved (60 of 200 over GF(2), 117 of 200
+over GF(256)).  The new digests equal those of the previous code fed
+only until DECODABLE, with the rest counted as non-innovative.
 
 The hypothesis properties check that the decoders agree on arbitrary
 small systems: `LinearDecoder`, `solve` and `invert`-then-multiply succeed
@@ -45,8 +50,8 @@ SYSTEMS_PER_FIELD = 200
 
 #: SHA-256 of every record `_records` yields, per field.
 PINNED = {
-    1: "80ba0cee216a87178b4bda63e0d49e316dcea660becadb78ca51de2941f1feef",
-    8: "f3efbee418e9536cd77d81cfa9ee8d4b5e332ae5d3b3466b03337219231794b1",
+    1: "be75e577742ef558e0c6a2d55056047c7c2940f6f5e383cd4e25437d71a3a01e",
+    8: "0c09335bd03b439a80adb3748bc524193e33d1dcddfdd9606d482493c35d851e",
 }
 
 

@@ -39,3 +39,27 @@ def test_sample_distinct_stream_pinned(key):
 def test_sample_distinct_rejects_oversized_count():
     with pytest.raises(ValueError):
         SplitMix64(1).sample_distinct(3, 4)
+
+
+@pytest.mark.parametrize(
+    "seed, n, count",
+    [(99, 256, 30), (3, 256, 1024), (5, 2**63 + 1, 6), (7, 1037, 9), (42, 24, 0)],
+    ids=str,
+)
+def test_below_many_equals_repeated_next_below(seed, n, count):
+    bulk, single = SplitMix64(seed), SplitMix64(seed)
+    expected = [single.next_below(n) for _ in range(count)]
+    assert bulk.below_many(n, count) == expected
+    assert bulk.next_u64() == single.next_u64()
+
+
+def test_below_many_first_draws_pinned():
+    rng = SplitMix64(2026)
+    assert rng.below_many(256, 12) == [35, 93, 142, 242, 73, 3, 174, 45, 244, 66, 109, 224]
+    assert rng.next_u64() == 5878713208090819352
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_below_many_rejects_empty_range(n):
+    with pytest.raises(ValueError):
+        SplitMix64(1).below_many(n, 3)
