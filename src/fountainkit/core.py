@@ -394,6 +394,27 @@ class TannerGraph:
         return len(set(degs)) <= 1
 
 
+def check_binary_header(packet: CodedPacket, n: Optional[int] = None) -> Optional[int]:
+    """The checks of `packet_support` that draw no neighbours: binary
+    coefficients, or a degree inside 1..n.  Returns n for a seeded header
+    (None for a coefficient vector), so a decoder can check a packet that
+    arrives after decoding without regenerating its neighbour set."""
+    h = packet.header
+    if isinstance(h, CoefficientVector):
+        if any(c > 1 for c in h.coefficients):
+            raise SchemeMismatchError("non-binary coefficients have no Tanner graph")
+        return None
+    if isinstance(h, (RaptorSeed, SeedDegree)):
+        if n is None:
+            n = packet.k + (h.redundant_count if isinstance(h, RaptorSeed) else 0)
+        if not 1 <= h.degree <= n:
+            raise PacketFormatError(f"degree {h.degree} outside 1..{n}")
+        return n
+    raise SchemeMismatchError(
+        f"{packet.scheme.name} packets are not binary linear codes"
+    )
+
+
 def packet_support(packet: CodedPacket, n: Optional[int] = None) -> list[int]:
     """Input indices with nonzero GF(2) coefficients, for graph export.
 
@@ -401,20 +422,11 @@ def packet_support(packet: CodedPacket, n: Optional[int] = None) -> list[int]:
     sets (the raptor LT stage runs over k + redundant packets).  A degree
     outside 1..n is a malformed header and raises PacketFormatError.
     """
+    n = check_binary_header(packet, n)
     h = packet.header
-    if isinstance(h, CoefficientVector):
-        if any(c > 1 for c in h.coefficients):
-            raise SchemeMismatchError("non-binary coefficients have no Tanner graph")
+    if n is None:
         return [j for j, c in enumerate(h.coefficients) if c]
-    if isinstance(h, (RaptorSeed, SeedDegree)):
-        if n is None:
-            n = packet.k + (h.redundant_count if isinstance(h, RaptorSeed) else 0)
-        if not 1 <= h.degree <= n:
-            raise PacketFormatError(f"degree {h.degree} outside 1..{n}")
-        return sorted(regenerate_neighbors(h.seed, h.degree, n))
-    raise SchemeMismatchError(
-        f"{packet.scheme.name} packets are not binary linear codes"
-    )
+    return sorted(regenerate_neighbors(h.seed, h.degree, n))
 
 
 def tanner_graph(packets: Iterable[CodedPacket], k: int) -> TannerGraph:

@@ -10,10 +10,11 @@ which is back-substitution on a sparse system: no row scaling, no matrix
 inversion, XOR only.  A stall is a status, not an error; the regular
 fixed-degree configuration doubles as a sparse-parity-code demonstrator.
 
-`Peeler` is the one sparse XOR peeling engine, with three users:
-`PeelingDecoder` (k inputs, B-byte rows), raptor's inactivation decoder
-(the intermediate block, the inactive-slot mask above each payload) and
-triangular's bit decoder (k·8B unknown bits, 1-bit rows).
+`Peeler` is the sparse XOR peeling engine of the packet-level decoders,
+with two users: `PeelingDecoder` (k inputs, B-byte rows) and raptor's
+inactivation decoder (the intermediate block, the inactive-slot mask
+above each payload).  Triangular's bit decoder peels with the same rule
+and order on its own engine, whose incidence follows from the shifts.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
     InputBlock,
     SchemeId,
     SeedDegree,
+    check_binary_header,
     check_packet,
     packet_support,
     regenerate_neighbors,
@@ -320,11 +322,14 @@ class PeelingDecoder:
 
     def ingest(self, packet: CodedPacket) -> DecodeStatus:
         check_packet(packet, self.k, self.packet_len, *self.schemes)
-        support = packet_support(packet, self.k)
-        self.packets_seen += 1
         if self.status is not DecodeStatus.NEEDS_MORE:
+            # Counted, with its header checked, but its neighbours not drawn.
+            check_binary_header(packet, self.k)
+            self.packets_seen += 1
             self._late += 1
             return self.status
+        support = packet_support(packet, self.k)
+        self.packets_seen += 1
         self._peeler.add(support, int.from_bytes(packet.payload, "big"))
         if not self._peeler.unresolved:
             self.status = DecodeStatus.DECODABLE

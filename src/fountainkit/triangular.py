@@ -8,17 +8,22 @@ bits, so the wire payload is B bytes plus ceil(max_shift / 8) pad bytes.
 
 Decoding makes each bit of each input an unknown and each coded bit one
 XOR equation over the input bits its shifts align there, then peels that
-system with `lt.Peeler` and 1-bit rows: solve an equation with a single
-unknown bit and substitute the bit everywhere it appears.  No field
-multiplication, no matrix inversion: the operation counters of a
-successful decode show zeros there.  Plain input packets and classic XOR
-packets take part as shift-0 packets, so a client can combine what it
-already holds with shifted retransmissions.
+system: solve an equation with a single unknown bit and substitute the
+bit everywhere it appears.  The shifts fix where a bit appears (once in
+each packet holding its input), so the peeling engine keeps no incidence
+lists and no per-equation lists, only one int per equation, and it peels
+in the order `lt.Peeler` would.  No field multiplication, no matrix
+inversion: the operation counters of a successful decode show zeros
+there.  Plain input packets and classic XOR packets take part as shift-0
+packets, so a client can combine what it already holds with shifted
+retransmissions.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 from .core import (
@@ -29,12 +34,12 @@ from .core import (
     SchemeId,
     SeedDegree,
     ShiftList,
+    check_binary_header,
     check_packet,
     packet_support,
 )
 from .errors import SchemeMismatchError
 from .linalg import OpCounter
-from .lt import Peeler
 from .prng import SplitMix64
 
 
@@ -95,21 +100,31 @@ def tri_encode(block: InputBlock, sv: ShiftVector) -> CodedPacket:
     )
 
 
+def _check_header(packet: CodedPacket) -> None:
+    """Raise unless the header is a shift list or a binary-linear header;
+    draws no LT neighbour set."""
+    h = packet.header
+    if isinstance(h, ShiftList):
+        ShiftVector.from_header(h)
+    elif isinstance(h, (CoefficientVector, SeedDegree)):
+        check_binary_header(packet)
+    else:
+        raise SchemeMismatchError(
+            f"{type(h).__name__} packets cannot join a bit-substitution decode"
+        )
+
+
 def _shifts_of(packet: CodedPacket) -> list[tuple[int, int]]:
     """(participant, shift) pairs of a packet: native shift lists, or any
     binary-linear header treated as an all-shift-0 packet.  An all-zero
     coefficient vector has no pairs, and every bit equation it gives has
-    no unknowns: the engine counts them redundant, as `PeelingDecoder`
-    counts the packet."""
+    no unknowns: the engine drops them, as `PeelingDecoder` counts the
+    packet redundant."""
+    _check_header(packet)
     h = packet.header
     if isinstance(h, ShiftList):
-        sv = ShiftVector.from_header(h)
-        return list(zip(sv.participants, sv.shifts))
-    if isinstance(h, (CoefficientVector, SeedDegree)):
-        return [(i, 0) for i in packet_support(packet)]
-    raise SchemeMismatchError(
-        f"{type(h).__name__} packets cannot join a bit-substitution decode"
-    )
+        return [(i, s) for i, s in enumerate(h.slots) if s is not None]
+    return [(i, 0) for i in packet_support(packet)]
 
 
 @dataclass
@@ -132,12 +147,35 @@ class TriResult:
         return self.block is not None
 
 
-class BitSubstitutionDecoder:
-    """Equation system over the individual payload bits, peeled by
-    `lt.Peeler` with 1-bit rows.
+# bytes.translate table from bit values 0/1 to the digits int(_, 2) reads.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
-    Unknown i·8B + s is bit s (counted from the tail) of input packet i;
-    every coded bit is one equation: the XOR of its unknowns equals it.
+
+class BitSubstitutionDecoder:
+    """Equation system over the individual payload bits, peeled on the
+    structure of the code.
+
+    Unknown (i, u) is bit u (counted from the tail) of input packet i.
+    Coded bit t of a packet is one equation: the XOR of the bits
+    (i, t - s) of its participants (i, s).  So bit (i, u) sits in exactly
+    one equation of each packet holding i, at t = u + s, and incidence
+    needs no lists.  Each equation is one int of three fields, low to
+    high: the coded bit plus the values substituted into it (its parity
+    is the right-hand side), the sum of i + 1 over its unresolved
+    unknowns (which names the last one) and their count.  Each input
+    bit is one int too: its value once resolved, and before that the
+    amount it adds to every equation holding it.  So a packet fills its
+    equations with one C-level `map` per participant, and substituting a
+    bit is one subtraction in each packet holding its input.
+
+    Peeling follows `lt.Peeler` fed one equation per coded bit in packet
+    order, t ascending: an equation with one unknown left drains the
+    ripple (first in, first out) as soon as it is reached, and an
+    equation of the packet being added that is not reached yet takes
+    substitutions but does not fire.  So statuses, counters and blocks
+    equal that engine's, even for corrupted packets.  `row_xor` counts
+    each known bit substituted into an equation, `resolve` each bit an
+    equation isolates.
     """
 
     # LT and GF(2) random linear packets join as shift-0 packets.
@@ -146,62 +184,111 @@ class BitSubstitutionDecoder:
     def __init__(self, k: int, packet_len: int):
         self.k = k
         self.packet_len = packet_len
-        self.bits_per_packet = packet_len * 8
+        self.bits_per_packet = nbits = packet_len * 8
         self.counter = OpCounter()
         self.status = DecodeStatus.NEEDS_MORE
         self.packets_seen = 0
-        self._peeler = Peeler(k * self.bits_per_packet, 1, self.counter)
+        self._unresolved = k * nbits
+        # Field offsets: values sum to at most k + 1, ids to k(k + 1)/2.
+        self._id_at = (k + 1).bit_length()
+        self._one = 1 << (self._id_at + (k * (k + 1) // 2).bit_length())
+        # Per input: its bits, the unresolved count and one
+        # (equations, shift, shifts) entry per packet holding the input.
+        self._bits = [
+            [self._one + ((i + 1) << self._id_at)] * nbits for i in range(k)
+        ]
+        self._left = [nbits] * k
+        self._holders: list[list[tuple]] = [[] for _ in range(k)]
 
     @property
     def decoded_bits(self) -> int:
-        return len(self._peeler.value) - self._peeler.unresolved
+        return self.k * self.bits_per_packet - self._unresolved
 
     @property
     def decoded_count(self) -> int:
         """Inputs with every bit resolved."""
-        return self.k - len(self.stall_report().unresolved_inputs)
+        return self._left.count(0)
 
     def ingest(self, packet: CodedPacket) -> DecodeStatus:
         check_packet(packet, self.k, self.packet_len, *self.schemes)
+        if self.status is not DecodeStatus.NEEDS_MORE:
+            _check_header(packet)
+            self.packets_seen += 1
+            return self.status
         pairs = _shifts_of(packet)
         self.packets_seen += 1
-        if self.status is not DecodeStatus.NEEDS_MORE:
-            return self.status
         nbits = self.bits_per_packet
-        value = int.from_bytes(packet.payload, "big")
-        # Coded bit t holds bit t - s of each participant whose shift s
-        # places that bit inside it: unknown base + t with base = i·8B - s.
-        spans = [(i * nbits - s, s, s + nbits) for i, s in pairs]
-        add = self._peeler.add
-        for t in range(nbits + max((s for _, s in pairs), default=0)):
-            add([base + t for base, lo, hi in spans if lo <= t < hi], (value >> t) & 1)
-        if not self._peeler.unresolved:
-            self.status = DecodeStatus.DECODABLE
+        size = nbits + max((s for _, s in pairs), default=0)
+        coded = int.from_bytes(packet.payload, "big")
+        eqs = [(coded >> t) & 1 for t in range(size)]
+        shifts = dict(pairs)
+        known = 0
+        for i, s in pairs:
+            eqs[s:s + nbits] = map(add, eqs[s:s + nbits], self._bits[i])
+            known += nbits - self._left[i]
+            self._holders[i].append((eqs, s, shifts))
+        self.counter.row_xor_count += known
+        one, two = self._one, 2 * self._one
+        for t, n in enumerate(eqs):
+            if one <= n < two:
+                self._drain(eqs, shifts, t)
+                if not self._unresolved:
+                    self.status = DecodeStatus.DECODABLE
+                    break
         return self.status
+
+    def _drain(self, current: list, shifts: dict, reached: int) -> None:
+        """Resolve equations with one unknown left, starting with equation
+        `reached` of the packet being added, until the ripple is empty.
+        A queued equation whose count fell to 0 has lost its unknown to
+        another equation and is dead."""
+        bits, left, holders = self._bits, self._left, self._holders
+        id_at, one = self._id_at, self._one
+        two = 2 * one
+        ripple = deque([(current, shifts, reached)])
+        substituted = resolved = 0
+        while ripple:
+            eqs, shifts, t = ripple.popleft()
+            n = eqs[t]
+            if n < one:
+                continue
+            j = ((n - one) >> id_at) - 1
+            v = t - shifts[j]
+            bit = n & 1
+            delta = bits[j][v] - bit
+            bits[j][v] = bit
+            left[j] -= 1
+            resolved += 1
+            entries = holders[j]
+            # Every other equation holding the bit substitutes it.
+            substituted += len(entries) - 1
+            for c, s, cs in entries:
+                w = v + s
+                n = c[w] - delta
+                c[w] = n
+                if one <= n < two and (c is not current or w <= reached):
+                    ripple.append((c, cs, w))
+        self._unresolved -= resolved
+        self.counter.resolve_count += resolved
+        self.counter.row_xor_count += substituted
 
     def decode(self) -> InputBlock:
         if self.status is DecodeStatus.NEEDS_MORE:
             raise RuntimeError("bit system still has unknowns")
-        nbits, bits = self.bits_per_packet, self._peeler.value
-        out = []
-        for i in range(self.k):
-            acc = 0
-            base = i * nbits
-            for s in range(nbits):
-                if bits[base + s]:
-                    acc |= 1 << s
-            out.append(acc.to_bytes(self.packet_len, "big"))
         self.status = DecodeStatus.DECODED
-        return InputBlock(tuple(out))
+        return InputBlock(
+            tuple(
+                int(bytes(reversed(bits)).translate(_DIGITS), 2).to_bytes(
+                    self.packet_len, "big"
+                )
+                for bits in self._bits
+            )
+        )
 
     def stall_report(self) -> BitStallReport:
-        nbits = self.bits_per_packet
-        pending_inputs = sorted(
-            {uid // nbits for uid, v in enumerate(self._peeler.value) if v is None}
-        )
         return BitStallReport(
-            unresolved_bits=self._peeler.unresolved,
-            unresolved_inputs=tuple(pending_inputs),
+            unresolved_bits=self._unresolved,
+            unresolved_inputs=tuple(i for i, n in enumerate(self._left) if n),
             decoded_bits=self.decoded_bits,
         )
 

@@ -5,15 +5,18 @@ import random
 
 import pytest
 
+from fountainkit import core
 from fountainkit.core import (
     CodedPacket,
     CoefficientVector,
     DecodeStatus,
     InputBlock,
     SchemeId,
+    SeedDegree,
     regenerate_neighbors,
     tanner_graph,
 )
+from fountainkit.errors import PacketFormatError
 from fountainkit.gf import GF2
 from fountainkit.linalg import FieldMatrix, rank
 from fountainkit.lt import (
@@ -213,6 +216,39 @@ class TestPeeling:
             while dec.status is DecodeStatus.NEEDS_MORE:
                 dec.ingest(enc.next_packet())
             assert dec.decode() == blk
+
+    def _decoded(self, k, b, seed):
+        blk = block(k, b, seed=seed)
+        enc = LTEncoder(robust_soliton(k, 0.1, 0.5), blk, seed=seed)
+        dec = PeelingDecoder(k, b)
+        while dec.status is DecodeStatus.NEEDS_MORE:
+            dec.ingest(enc.next_packet())
+        return blk, enc, dec
+
+    def test_late_packets_draw_no_neighbours(self, monkeypatch):
+        blk, enc, dec = self._decoded(64, 2, seed=60)
+        late = [enc.next_packet() for _ in range(5)]
+        redundant, seen = dec.redundant_count, dec.packets_seen
+        draws = []
+        original = core.regenerate_neighbors
+        monkeypatch.setattr(
+            core, "regenerate_neighbors", lambda *a: draws.append(a) or original(*a)
+        )
+        for p in late:
+            assert dec.ingest(p) is DecodeStatus.DECODABLE
+        assert draws == []
+        assert dec.redundant_count == redundant + 5
+        assert dec.packets_seen == seen + 5
+        assert dec.decode() == blk
+
+    @pytest.mark.parametrize("degree", [0, 65])
+    def test_late_packet_degree_still_checked(self, degree):
+        _, _, dec = self._decoded(64, 2, seed=61)
+        redundant, seen = dec.redundant_count, dec.packets_seen
+        bad = CodedPacket(SchemeId.LT, 64, 2, SeedDegree(7, degree), bytes(2))
+        with pytest.raises(PacketFormatError):
+            dec.ingest(bad)
+        assert (dec.redundant_count, dec.packets_seen) == (redundant, seen)
 
 
 class TestOverheadTrials:

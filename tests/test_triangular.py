@@ -10,8 +10,9 @@ from fountainkit.core import (
     DecodeStatus,
     InputBlock,
     SchemeId,
+    SeedDegree,
 )
-from fountainkit.errors import SchemeMismatchError
+from fountainkit.errors import PacketFormatError, SchemeMismatchError
 from fountainkit.linalg import xor_bytes
 from fountainkit.lt import peel_decode
 from fountainkit.prng import SplitMix64
@@ -130,6 +131,18 @@ class TestDecode:
         assert dec.decoded_bits == 0
         dec.ingest(tri_encode(blk, ShiftVector((0, 1), (0, 0))))
         assert dec.ingest(tri_encode(blk, ShiftVector((0, 1), (0, 1)))) is DecodeStatus.DECODABLE
+        assert dec.decode() == blk
+
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_late_lt_packet_degree_still_checked(self, degree):
+        blk = block(2, seed=15)
+        dec = BitSubstitutionDecoder(2, blk.packet_len)
+        dec.ingest(tri_encode(blk, ShiftVector((0, 1), (0, 0))))
+        assert dec.ingest(tri_encode(blk, ShiftVector((0, 1), (0, 1)))) is DecodeStatus.DECODABLE
+        bad = CodedPacket(SchemeId.LT, 2, blk.packet_len, SeedDegree(7, degree), bytes(2))
+        with pytest.raises(PacketFormatError):
+            dec.ingest(bad)
+        assert dec.packets_seen == 2
         assert dec.decode() == blk
 
     @pytest.mark.parametrize("b,pad", [(4, 0), (8, -1), (8, 1)])
