@@ -15,9 +15,7 @@ from .core import (
     SchemeId,
     SeedDegree,
     ShiftList,
-    TannerGraph,
     linear_combine,
-    tanner_graph,
 )
 from .gf import GF2, GF256, FieldSpec, field
 from .linalg import (
@@ -47,7 +45,6 @@ __all__ = [
     "SchemeId",
     "SeedDegree",
     "ShiftList",
-    "TannerGraph",
     "back_substitute",
     "deserialize",
     "field",
@@ -57,7 +54,6 @@ __all__ = [
     "read_stream",
     "serialize",
     "solve",
-    "tanner_graph",
     "triangularize",
     "write_stream",
 ]

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -108,6 +107,8 @@ def _codec_kwargs(args) -> dict:
 
 
 def cmd_encode(args) -> int:
+    if args.k < 1:
+        raise ConfigError("--k must be at least 1")
     data = _read_file(args.input)
     if not data:
         raise ConfigError("input file is empty")
@@ -350,8 +351,7 @@ class IOFailure(Exception):
 
 
 def _add_scheme_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=int(os.environ.get("FOUNTAINKIT_SEED", "0")),
-                   help="PRNG seed (env FOUNTAINKIT_SEED)")
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed")
     p.add_argument("--n", type=int, default=None, help="fixed-rate packet count (rs)")
     p.add_argument("--systematic", action="store_true", help="systematic rs variant")
     p.add_argument("--field-order", type=int, default=None, choices=(2, 256),

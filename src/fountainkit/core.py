@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import PacketFormatError, SchemeMismatchError
 from .gf import GF2, GF256, FieldSpec, field
@@ -367,32 +367,6 @@ class LinearDecoder:
         self.status = DecodeStatus.DECODED
         return self._block
 
-    @property
-    def decoded_block(self) -> Optional[InputBlock]:
-        return self._block
-
-
-@dataclass(frozen=True)
-class TannerGraph:
-    """Bipartite graph between input and coded packets; edges mark the
-    nonzero coefficient positions."""
-
-    input_count: int
-    coded_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def degrees(self) -> list[int]:
-        out = [0] * self.coded_count
-        for coded, _ in self.edges:
-            out[coded] += 1
-        return out
-
-    @property
-    def is_regular(self) -> bool:
-        degs = self.degrees
-        return len(set(degs)) <= 1
-
 
 def check_binary_header(packet: CodedPacket, n: Optional[int] = None) -> Optional[int]:
     """The checks of `packet_support` that draw no neighbours: binary
@@ -402,7 +376,7 @@ def check_binary_header(packet: CodedPacket, n: Optional[int] = None) -> Optiona
     h = packet.header
     if isinstance(h, CoefficientVector):
         if any(c > 1 for c in h.coefficients):
-            raise SchemeMismatchError("non-binary coefficients have no Tanner graph")
+            raise SchemeMismatchError("non-binary coefficients in a binary decoder")
         return None
     if isinstance(h, (RaptorSeed, SeedDegree)):
         if n is None:
@@ -416,7 +390,7 @@ def check_binary_header(packet: CodedPacket, n: Optional[int] = None) -> Optiona
 
 
 def packet_support(packet: CodedPacket, n: Optional[int] = None) -> list[int]:
-    """Input indices with nonzero GF(2) coefficients, for graph export.
+    """Input indices with nonzero GF(2) coefficients.
 
     `n` overrides the input count for headers that regenerate neighbor
     sets (the raptor LT stage runs over k + redundant packets).  A degree
@@ -427,20 +401,3 @@ def packet_support(packet: CodedPacket, n: Optional[int] = None) -> list[int]:
     if n is None:
         return [j for j, c in enumerate(h.coefficients) if c]
     return sorted(regenerate_neighbors(h.seed, h.degree, n))
-
-
-def tanner_graph(packets: Iterable[CodedPacket], k: int) -> TannerGraph:
-    """Graph of binary packets over k inputs.  Raptor packets are refused:
-    their neighbours lie among the k + redundant_count intermediate
-    slots, not the inputs."""
-    edges = []
-    count = 0
-    for idx, p in enumerate(packets):
-        if isinstance(p.header, RaptorSeed):
-            raise SchemeMismatchError(
-                "raptor packets have no Tanner graph over the inputs"
-            )
-        count += 1
-        for j in packet_support(p, k):
-            edges.append((idx, j))
-    return TannerGraph(input_count=k, coded_count=count, edges=tuple(edges))

@@ -128,9 +128,6 @@ class GF:
         n = self.order - 1
         return self._exp[(n - self._log[a]) % n]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 0 if e else 1
@@ -158,10 +155,6 @@ class GF:
     @property
     def exp_table(self) -> tuple[int, ...]:
         return tuple(self._exp)
-
-    @property
-    def log_table(self) -> dict[int, int]:
-        return {v: self._log[v] for v in range(1, self.order)}
 
 
 @lru_cache(maxsize=None)

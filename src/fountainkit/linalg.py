@@ -37,7 +37,7 @@ from .gf import GF, FieldSpec, field
 
 @dataclass
 class OpCounter:
-    """Tallies of elimination work; resettable between runs."""
+    """Tallies of elimination work."""
 
     row_xor_count: int = 0
     row_scale_count: int = 0
@@ -54,13 +54,6 @@ class OpCounter:
             + self.row_swap_count
             + self.resolve_count
         )
-
-    def reset(self) -> None:
-        self.row_xor_count = 0
-        self.row_scale_count = 0
-        self.row_swap_count = 0
-        self.symbol_mul_count = 0
-        self.resolve_count = 0
 
     def merge(self, other: "OpCounter") -> None:
         self.row_xor_count += other.row_xor_count

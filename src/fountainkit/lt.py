@@ -130,17 +130,6 @@ def custom_distribution(k: int, pmf: Sequence[float]) -> DegreeDistribution:
     return _finish(k, weights, "custom")
 
 
-def soliton_pmf(kind: str, k: int, **params) -> DegreeDistribution:
-    """Dispatch by name: ideal | robust(c, delta) | regular(degree)."""
-    if kind == "ideal":
-        return ideal_soliton(k)
-    if kind == "robust":
-        return robust_soliton(k, params["c"], params["delta"])
-    if kind == "regular":
-        return regular_distribution(k, params["degree"])
-    raise ValueError(f"unknown distribution kind {kind!r}")
-
-
 class LTEncoder:
     """Rateless encoder over one block; one instance per stream."""
 
@@ -373,29 +362,21 @@ class OverheadTrial:
     counter: OpCounter
 
 
-def lt_overhead_trial(
-    dist: DegreeDistribution,
-    seed: int,
-    packet_len: int = 1,
-    cap: Optional[int] = None,
-) -> OverheadTrial:
+def lt_overhead_trial(dist: DegreeDistribution, seed: int) -> OverheadTrial:
     """Feed a fresh encoder into a peeling decoder until the block decodes;
     returns the packets consumed, with overhead = consumed/k - 1.
 
-    The block payloads are drawn from the trial seed and the decode is
-    verified bit-exact.  `cap` defaults to 10k packets.
+    The block is k one-byte payloads drawn from the trial seed, and the
+    decode is verified bit-exact.  A trial is aborted after 10k packets.
     """
     k = dist.k
-    cap = cap if cap is not None else 10 * k
     rng = SplitMix64(seed ^ 0xB10CDA7A)
-    block = InputBlock(
-        tuple(bytes(rng.below_many(256, packet_len)) for _ in range(k))
-    )
+    block = InputBlock(tuple(bytes(rng.below_many(256, 1)) for _ in range(k)))
     encoder = LTEncoder(dist, block, seed)
-    decoder = PeelingDecoder(k, packet_len)
+    decoder = PeelingDecoder(k, 1)
     consumed = 0
     while decoder.status is DecodeStatus.NEEDS_MORE:
-        if consumed >= cap:
+        if consumed >= 10 * k:
             return OverheadTrial(consumed, consumed / k - 1.0, True, decoder.counter)
         decoder.ingest(encoder.next_packet())
         consumed += 1

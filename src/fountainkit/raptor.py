@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import (
@@ -39,6 +40,7 @@ from .core import (
     InputBlock,
     RaptorSeed,
     SchemeId,
+    check_binary_header,
     check_packet,
     packet_support,
     regenerate_neighbors,
@@ -170,11 +172,15 @@ def _header_spec(header, k: int) -> PrecodeSpec:
         raise SchemeMismatchError(
             "packets without precode headers need an explicit PrecodeSpec"
         )
+    return _precode_spec(k, header.redundant_count, header.row_weight, header.precode_seed)
+
+
+@lru_cache(maxsize=64)
+def _precode_spec(k: int, redundant_count: int, row_weight: int, seed: int) -> PrecodeSpec:
+    """Built and validated once per parameter tuple: every packet of a
+    stream announces the same one, and a decoder parses each."""
     try:
-        return PrecodeSpec(
-            k=k, redundant_count=header.redundant_count,
-            row_weight=header.row_weight, seed=header.precode_seed,
-        )
+        return PrecodeSpec(k, redundant_count, row_weight, seed)
     except ValueError as exc:
         raise PacketFormatError(f"bad precode header: {exc}") from None
 
@@ -327,15 +333,16 @@ class RaptorDecoder:
     def ingest(self, packet: CodedPacket) -> DecodeStatus:
         check_packet(packet, self.k, self.packet_len, self.scheme)
         spec = self._precode(packet.header)
-        self.packets_seen += 1
         if self.status is not DecodeStatus.NEEDS_MORE:
+            # Counted, with its header checked, but its neighbours not drawn.
+            check_binary_header(packet, spec.intermediate_count)
+            self.packets_seen += 1
             return self.status
+        support = packet_support(packet, spec.intermediate_count)
+        self.packets_seen += 1
         if self._engine is None:
             self._engine = _Inactivation(spec, self.packet_len, self.counter)
-        self._engine.add(
-            packet_support(packet, spec.intermediate_count),
-            int.from_bytes(packet.payload, "big"),
-        )
+        self._engine.add(support, int.from_bytes(packet.payload, "big"))
         if self.packets_seen >= self.k:
             result = self._engine.attempt()
             self.last_result = result
@@ -347,13 +354,11 @@ class RaptorDecoder:
 
     def _precode(self, header) -> PrecodeSpec:
         """The decoder's precode, fixed by the first packet's header; every
-        later precode header must agree with it."""
-        spec = self._spec
-        if spec is None:
-            spec = self._spec = _header_spec(header, self.k)
-        elif isinstance(header, RaptorSeed) and (
-            header.precode_seed, header.redundant_count, header.row_weight
-        ) != (spec.seed, spec.redundant_count, spec.row_weight):
+        later header must announce the same one."""
+        spec = _header_spec(header, self.k)
+        if self._spec is None:
+            self._spec = spec
+        elif spec != self._spec:
             raise SchemeMismatchError("packets disagree on precode parameters")
         return spec
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CodedPacket, CoefficientVector, InputBlock, LinearDecoder, SchemeId, linear_combine
+from .errors import SchemeMismatchError
 from .gf import GF2, GF256, FieldSpec
 from .prng import SplitMix64
 
@@ -82,11 +83,14 @@ def rl_success_probability(q: int, k: int, received: int | None = None) -> float
     return prob
 
 
+def _coefficients(packet: CodedPacket) -> tuple[int, ...]:
+    h = packet.header
+    if not isinstance(h, CoefficientVector):
+        raise SchemeMismatchError(
+            f"RL packets carry coefficient vectors, got {type(h).__name__}"
+        )
+    return h.coefficients
+
+
 def make_decoder(config: RlConfig, packet_len: int) -> LinearDecoder:
-    return LinearDecoder(
-        config.spec,
-        config.k,
-        packet_len,
-        SchemeId.RL,
-        lambda p: p.header.coefficients,
-    )
+    return LinearDecoder(config.spec, config.k, packet_len, SchemeId.RL, _coefficients)

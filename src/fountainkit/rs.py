@@ -30,7 +30,7 @@ from .errors import (
     PacketFormatError,
     SchemeMismatchError,
 )
-from .gf import GF256, FieldSpec, field
+from .gf import GF256, field
 from .linalg import FieldMatrix, OpCounter, invert, solve
 
 
@@ -38,12 +38,11 @@ from .linalg import FieldMatrix, OpCounter, invert, solve
 MAX_ROWS = GF256.order - 1
 
 
-def default_points(n: int, spec: FieldSpec = GF256) -> tuple[int, ...]:
-    """First n nonzero field elements in generator-power order."""
-    gf = field(spec)
-    if n > spec.order - 1:
-        raise ValueError(f"field of order {spec.order} has only {spec.order - 1} nonzero points")
-    return tuple(gf.exp_table[:n])
+def default_points(n: int) -> tuple[int, ...]:
+    """First n nonzero elements of GF(256) in generator-power order."""
+    if n > MAX_ROWS:
+        raise ValueError(f"GF(256) has only {MAX_ROWS} nonzero points")
+    return tuple(field(GF256).exp_table[:n])
 
 
 @dataclass(frozen=True)
@@ -54,20 +53,17 @@ class VandermondeSpec:
     n: int
     points: tuple[int, ...]
     systematic: bool = False
-    spec: FieldSpec = GF256
 
     def __post_init__(self):
         if self.k < 1 or self.n < self.k:
             raise ValueError(f"need n >= k >= 1, got k={self.k} n={self.n}")
-        if self.n > self.spec.order - 1:
-            raise ValueError(
-                f"n={self.n} exceeds the {self.spec.order - 1} nonzero points of GF(2^{self.spec.m})"
-            )
+        if self.n > MAX_ROWS:
+            raise ValueError(f"n={self.n} exceeds the {MAX_ROWS} nonzero points of GF(256)")
         if len(self.points) != self.n:
             raise ValueError("one evaluation point per row required")
         if len(set(self.points)) != self.n:
             raise ValueError("evaluation points must be distinct")
-        if any(not 0 < a < self.spec.order for a in self.points):
+        if any(not 0 < a <= MAX_ROWS for a in self.points):
             raise ValueError("evaluation points must be nonzero field elements")
 
     @classmethod
@@ -79,7 +75,7 @@ class VandermondeSpec:
 
 
 def vandermonde_row(vspec: VandermondeSpec, index: int) -> list[int]:
-    gf = field(vspec.spec)
+    gf = field(GF256)
     a = vspec.points[index]
     return [gf.pow(a, e) for e in range(vspec.k)]
 
@@ -87,7 +83,7 @@ def vandermonde_row(vspec: VandermondeSpec, index: int) -> list[int]:
 @lru_cache(maxsize=64)
 def _systematic_transform(vspec: VandermondeSpec) -> tuple[tuple[int, ...], ...]:
     head = FieldMatrix.from_rows(
-        vspec.spec, [vandermonde_row(vspec, j) for j in range(vspec.k)]
+        GF256, [vandermonde_row(vspec, j) for j in range(vspec.k)]
     )
     return tuple(tuple(r) for r in invert(head).to_rows())
 
@@ -99,7 +95,7 @@ def coding_row(vspec: VandermondeSpec, index: int) -> list[int]:
     row = vandermonde_row(vspec, index)
     if not vspec.systematic:
         return row
-    gf = field(vspec.spec)
+    gf = field(GF256)
     t = _systematic_transform(vspec)
     out = [0] * vspec.k
     for j, v in enumerate(row):
@@ -120,7 +116,7 @@ def rs_encode(block: InputBlock, vspec: VandermondeSpec) -> list[CodedPacket]:
             vspec.k,
             block.packet_len,
             RowIndex(j, vspec.systematic),
-            linear_combine(block.packets, coding_row(vspec, j), vspec.spec),
+            linear_combine(block.packets, coding_row(vspec, j), GF256),
         )
         for j in range(vspec.n)
     ]
@@ -173,7 +169,7 @@ def rs_decode(
             f"need {vspec.k} distinct packets, have {len(chosen)}"
         )
     m = FieldMatrix.from_rows(
-        vspec.spec, [coding_row(vspec, p.header.index) for p in chosen]
+        GF256, [coding_row(vspec, p.header.index) for p in chosen]
     )
     xs = solve(m, [p.payload for p in chosen], counter)
     return InputBlock(tuple(xs))
@@ -182,7 +178,7 @@ def rs_decode(
 def make_decoder(vspec: VandermondeSpec, packet_len: int) -> LinearDecoder:
     """Incremental decoder; innovation is rank-checked."""
     return LinearDecoder(
-        vspec.spec,
+        GF256,
         vspec.k,
         packet_len,
         SchemeId.RS,

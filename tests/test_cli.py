@@ -156,6 +156,12 @@ class TestExitCodes:
         assert run("encode", sample_file, tmp_path / "x.ec", "--scheme", "rs",
                    "--k", 2, "--n", 300) == 2
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_config_error(self, sample_file, tmp_path, capsys, k):
+        assert run("encode", sample_file, tmp_path / "x.ec", "--scheme", "lt",
+                   "--k", k) == 2
+        assert "--k must be at least 1" in capsys.readouterr().err
+
     def test_empty_input_rejected(self, tmp_path):
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")

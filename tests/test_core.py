@@ -1,5 +1,5 @@
-"""Packet model, wire format round trips, rank-tracking ingest, Tanner export,
-and the packet checks every decoder applies."""
+"""Packet model, wire format round trips, rank-tracking ingest and the
+packet checks every decoder applies."""
 
 import dataclasses
 import random
@@ -20,7 +20,6 @@ from fountainkit.core import (
     linear_combine,
     packet_support,
     regenerate_neighbors,
-    tanner_graph,
 )
 from fountainkit.errors import (
     BadMagicError,
@@ -342,7 +341,7 @@ def fountain(kind, k, b, seed=3):
 
 class TestFountainDecodersRefuseForeignPackets:
     @pytest.mark.parametrize("kind", ["lt", "raptor"])
-    @pytest.mark.parametrize("mismatch", ["scheme", "k", "B", "payload"])
+    @pytest.mark.parametrize("mismatch", ["scheme", "k", "B", "payload", "non-binary"])
     def test_refused_and_decoder_unchanged(self, kind, mismatch):
         k, b = 16, 8
         dec, enc = fountain(kind, k, b)
@@ -353,6 +352,7 @@ class TestFountainDecodersRefuseForeignPackets:
             "k": fountain(kind, k + 1, b)[1].next_packet(),
             "B": fountain(kind, k, b + 1)[1].next_packet(),
             "payload": dataclasses.replace(good, payload=good.payload[:-1]),
+            "non-binary": coeff_packet([2] + [1] * (k - 1), bytes(b)),
         }[mismatch]
         with pytest.raises(SchemeMismatchError):
             dec.ingest(foreign)
@@ -363,53 +363,16 @@ class TestFountainDecodersRefuseForeignPackets:
 
     @pytest.mark.parametrize("kind", ["lt", "raptor"])
     @pytest.mark.parametrize("degree", [0, "n + 1"])
-    def test_degree_outside_range_is_format_error(self, kind, degree):
+    @pytest.mark.parametrize("when", ["fresh", "late"])
+    def test_degree_outside_range_is_format_error(self, kind, degree, when):
         dec, enc = fountain(kind, 16, 8)
         p = enc.next_packet()
+        if when == "late":
+            while dec.status is DecodeStatus.NEEDS_MORE:
+                dec.ingest(enc.next_packet())
+        seen = dec.packets_seen
         n = 16 if kind == "lt" else PrecodeSpec.default(16).intermediate_count
         header = dataclasses.replace(p.header, degree=n + 1 if degree else 0)
         with pytest.raises(PacketFormatError, match="degree"):
             dec.ingest(dataclasses.replace(p, header=header))
-
-
-class TestTannerGraph:
-    def test_worked_irregular_graph(self):
-        packets = [
-            coeff_packet([1, 1, 0], b"x"),
-            coeff_packet([0, 1, 1], b"x"),
-            coeff_packet([1, 1, 1], b"x"),
-        ]
-        g = tanner_graph(packets, 3)
-        assert g.degrees == [2, 2, 3]
-        assert not g.is_regular
-        assert set(g.edges) == {(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)}
-
-    def test_systematic_packets_regular(self):
-        packets = [
-            coeff_packet([int(i == j) for j in range(4)], b"x") for i in range(4)
-        ]
-        g = tanner_graph(packets, 4)
-        assert g.degrees == [1, 1, 1, 1]
-        assert g.is_regular
-
-    def test_fixed_degree_regular(self):
-        rng = random.Random(27)
-        packets = []
-        for _ in range(10):
-            idx = rng.sample(range(6), 2)
-            packets.append(
-                coeff_packet([int(j in idx) for j in range(6)], b"x")
-            )
-        assert tanner_graph(packets, 6).is_regular
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(SchemeMismatchError):
-            tanner_graph([coeff_packet([2, 1], b"x")], 2)
-
-    def test_raptor_packets_rejected(self):
-        # Raptor neighbours are drawn over the k + redundant_count
-        # intermediate slots, so a graph over the k inputs would show
-        # edges the packets do not have.
-        _, enc = fountain("raptor", 20, 4)
-        with pytest.raises(SchemeMismatchError, match="raptor"):
-            tanner_graph([enc.next_packet() for _ in range(6)], 20)
+        assert dec.packets_seen == seen

@@ -254,6 +254,19 @@ class TestDecoderPrecodeHeaders:
         with pytest.raises(SchemeMismatchError, match="precode"):
             dec.ingest(self._packets(precode_seed=2)[1])
 
+    @pytest.mark.parametrize("length", [12, 12 + 5 + 1])
+    def test_later_packet_without_precode_header_refused(self, length):
+        # A coefficient vector of length k would be peeled over the
+        # intermediate slots; a longer one would index past them.
+        first, second = self._packets(precode_seed=1)
+        dec = RaptorDecoder(12, 4)
+        dec.ingest(first)
+        counter = dataclasses.replace(dec.counter)
+        header = CoefficientVector(tuple(j % 2 for j in range(length)))
+        with pytest.raises(SchemeMismatchError, match="precode"):
+            dec.ingest(dataclasses.replace(second, header=header))
+        assert (dec.packets_seen, dec.counter) == (1, counter)
+
     def test_impossible_precode_header_is_format_error(self):
         p = self._packets(precode_seed=1)[0]
         bad = dataclasses.replace(p, header=dataclasses.replace(p.header, row_weight=13))

@@ -1,10 +1,11 @@
 """Random linear codec: sampling, rank law, determinism."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from fountainkit.core import DecodeStatus, InputBlock
+from fountainkit.core import DecodeStatus, InputBlock, SeedDegree
 from fountainkit.errors import SchemeMismatchError
 from fountainkit.gf import GF2, GF256, FieldSpec
 from fountainkit.rl import RlConfig, RlEncoder, make_decoder, rl_success_probability
@@ -81,6 +82,14 @@ class TestEncoder:
         with pytest.raises(SchemeMismatchError, match=r"outside GF\(2\)"):
             dec.ingest(packet)
         assert dec.status is DecodeStatus.NEEDS_MORE
+
+    def test_decoder_refuses_other_header_shapes(self):
+        blk = block(4, b=8, seed=5)
+        packet = RlEncoder(RlConfig(GF256, 4, seed=3), blk).next_packet()
+        dec = make_decoder(RlConfig(GF256, 4), blk.packet_len)
+        with pytest.raises(SchemeMismatchError, match="SeedDegree"):
+            dec.ingest(replace(packet, header=SeedDegree(7, 2)))
+        assert (dec.accepted_count, dec.non_innovative_count) == (0, 0)
 
     def test_sparse_vectors_cost_fewer_row_ops(self):
         # Sparse streams eliminate cheaper, though plain Gaussian
