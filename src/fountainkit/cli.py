@@ -150,7 +150,8 @@ def cmd_decode(args) -> int:
     are parsed until it can decode.  A first frame whose k*B exceeds the
     stream's length is refused before any decoder is built.  Every frame
     must share the first frame's stream context; frames after the
-    decodable point are never parsed."""
+    decodable point are never parsed.  Frames that contradict earlier
+    ones (`Decoder.contradictions`) fail the decode."""
     data = _read_file(args.input)
     frames = read_stream(data)
     first = next(frames, None)
@@ -179,6 +180,11 @@ def cmd_decode(args) -> int:
             file=sys.stderr,
         )
         return EXIT_DECODE_FAILURE
+    if decoder.contradictions:
+        raise SchemeMismatchError(
+            f"{decoder.contradictions} frames contradict earlier ones; "
+            "the stream is mixed or corrupted"
+        )
     block = decoder.decode()
     _write_file(args.output, _file_from_block(block))
     print(f"recovered {args.output}")

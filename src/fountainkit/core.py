@@ -6,6 +6,20 @@ hidden encoder state.  Four header shapes cover the schemes: an explicit
 coefficient vector, a (seed, degree) pair that deterministically
 regenerates a neighbor set, a generator-matrix row index, and a per-input
 bit-shift list for the triangular scheme.
+
+Every decoder is a `Decoder`, which owns the contract:
+
+- Refusal is atomic: `ingest` checks scheme, k and B (`check_packet`),
+  then the header (the decoder's `_check`, which draws no neighbour set),
+  before it changes any state.
+- `packets_seen` counts every packet taken, and `late` those taken after
+  DECODABLE, which do no work.
+- `contradictions` counts equations left with no unknown but a non-zero
+  payload: packets that disagree with earlier ones, as in a spliced or
+  corrupted stream.  `LinearDecoder` and `lt.Peeler` (LT, raptor's
+  peeling) count them; the triangular bit decoder and raptor's core
+  solve do not yet, so 0 proves nothing there.
+- `decode()` before DECODABLE raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -258,7 +272,50 @@ class DecodeStatus(IntEnum):
     DECODED = 2
 
 
-class LinearDecoder:
+class Decoder:
+    """Base of every decoder: the contract above, written once.  A
+    subclass names the schemes it takes in `schemes` and supplies:
+
+    - `_check(packet)`, which raises SchemeMismatchError or
+      PacketFormatError for a header it cannot take, changes no state,
+      draws no neighbour set and returns what `_add` is passed;
+    - `_add(packet, checked)`, which takes a packet before the block is
+      determined and returns whether it is now;
+    - `_solve()`, which returns the determined block.
+    """
+
+    schemes: tuple[SchemeId, ...] = ()
+
+    def __init__(self, k: int, packet_len: int):
+        self.k = k
+        self.packet_len = packet_len
+        self.counter = OpCounter()
+        self.status = DecodeStatus.NEEDS_MORE
+        self.packets_seen = 0
+        self.late = 0
+        self.contradictions = 0
+
+    def ingest(self, packet: CodedPacket) -> DecodeStatus:
+        check_packet(packet, self.k, self.packet_len, *self.schemes)
+        checked = self._check(packet)
+        self.packets_seen += 1
+        if self.status is not DecodeStatus.NEEDS_MORE:
+            # A late packet: checked and counted, but no work.
+            self.late += 1
+        elif self._add(packet, checked):
+            self.status = DecodeStatus.DECODABLE
+        return self.status
+
+    def decode(self) -> InputBlock:
+        """The decoded block.  Before DECODABLE this raises RuntimeError,
+        since the packets taken do not determine the block yet."""
+        if self.status is DecodeStatus.NEEDS_MORE:
+            raise RuntimeError("the packets taken do not determine the block yet")
+        self.status = DecodeStatus.DECODED
+        return self._solve()
+
+
+class LinearDecoder(Decoder):
     """Rank-tracking decoder for the linear schemes.
 
     Incoming coding vectors are reduced against the accepted echelon
@@ -276,14 +333,10 @@ class LinearDecoder:
         scheme: SchemeId,
         coefficients_of: Callable[[CodedPacket], Sequence[int]],
     ):
+        super().__init__(k, packet_len)
         self.spec = spec
-        self.k = k
-        self.packet_len = packet_len
-        self.scheme = scheme
+        self.schemes = (scheme,)
         self._coefficients_of = coefficients_of
-        self.counter = OpCounter()
-        self.status = DecodeStatus.NEEDS_MORE
-        self.non_innovative_count = 0
         self.accepted_count = 0
         self._block: Optional[InputBlock] = None
         self._gf = field(spec)
@@ -298,34 +351,33 @@ class LinearDecoder:
     def rank(self) -> int:
         return self.accepted_count
 
-    def ingest(self, packet: CodedPacket) -> DecodeStatus:
-        check_packet(packet, self.k, self.packet_len, self.scheme)
+    @property
+    def non_innovative_count(self) -> int:
+        """Packets taken that did not raise the rank, late ones included."""
+        return self.packets_seen - self.accepted_count
+
+    def _check(self, packet: CodedPacket) -> list[int]:
         coeffs = list(self._coefficients_of(packet))
         if len(coeffs) != self.k:
-            raise ValueError("coding vector length must equal k")
+            raise PacketFormatError(f"coding vector of {len(coeffs)} entries, k={self.k}")
         if not 0 <= min(coeffs) <= max(coeffs) < self.spec.order:
             raise SchemeMismatchError(
                 f"coefficients outside GF({self.spec.order}) in a {packet.scheme.name} packet"
             )
-        if self.status is not DecodeStatus.NEEDS_MORE:
-            # A late packet: the block is already determined, so it is
-            # counted and not reduced.
-            self.non_innovative_count += 1
-            return self.status
+        return coeffs
+
+    def _add(self, packet: CodedPacket, coeffs: list[int]) -> bool:
         if self._reduce(self._ops.pack(coeffs), packet.payload):
             self.accepted_count += 1
-            if self.accepted_count == self.k:
-                self.status = DecodeStatus.DECODABLE
-        else:
-            self.non_innovative_count += 1
-        return self.status
+        return self.accepted_count == self.k
 
     def _reduce(self, row, payload: bytes) -> bool:
         """Reduce one row against the basis; store it if innovative.
 
         Each step is one `addmul` on the coefficient row; the working
         payload is one int, combined by one XOR (coefficient 1) or one
-        `mul_int` and XOR (any other coefficient).
+        `mul_int` and XOR (any other coefficient).  A row that reduces to
+        zero with a non-zero payload is a contradiction.
         """
         ops, gf, counter, basis = self._ops, self._gf, self.counter, self._basis
         lead, addmul, plen = ops.lead, ops.addmul, self.packet_len
@@ -352,29 +404,54 @@ class LinearDecoder:
             row = addmul(row, c, brow)
             counter.row_xor_count += 1
             col, c = lead(row)
+        if pay:
+            self.contradictions += 1
         return False
 
-    def decode(self) -> InputBlock:
-        if self._block is not None:
-            return self._block
-        if self.status is not DecodeStatus.DECODABLE:
-            raise RuntimeError(
-                f"need k={self.k} innovative packets, have {self.accepted_count}"
-            )
-        u = FieldMatrix(self.spec, self.k, [e[0] for e in self._basis])
-        xs = back_substitute(u, [e[1] for e in self._basis], self.counter)
-        self._block = InputBlock(tuple(xs))
-        self.status = DecodeStatus.DECODED
+    def _solve(self) -> InputBlock:
+        if self._block is None:
+            u = FieldMatrix(self.spec, self.k, [e[0] for e in self._basis])
+            xs = back_substitute(u, [e[1] for e in self._basis], self.counter)
+            self._block = InputBlock(tuple(xs))
         return self._block
+
+
+@dataclass
+class DecodeResult:
+    """What `decode_all` returns: the block, or else the decoder's stall
+    report, and the decoder's operation counter."""
+
+    block: Optional[InputBlock]
+    stall: object
+    counter: OpCounter
+
+    @property
+    def success(self) -> bool:
+        return self.block is not None
+
+
+def decode_all(decoder: Decoder, packets: Sequence[CodedPacket]) -> DecodeResult:
+    """Feed every packet to `decoder`, late ones included.  A decoder that
+    does not reach DECODABLE must have a `stall_report`."""
+    for p in packets:
+        decoder.ingest(p)
+    if decoder.status is DecodeStatus.NEEDS_MORE:
+        return DecodeResult(None, decoder.stall_report(), decoder.counter)
+    return DecodeResult(decoder.decode(), None, decoder.counter)
 
 
 def check_binary_header(packet: CodedPacket, n: Optional[int] = None) -> Optional[int]:
     """The checks of `packet_support` that draw no neighbours: binary
-    coefficients, or a degree inside 1..n.  Returns n for a seeded header
-    (None for a coefficient vector), so a decoder can check a packet that
-    arrives after decoding without regenerating its neighbour set."""
+    coefficients, one per input, or a degree inside 1..n.  Returns n for a
+    seeded header (None for a coefficient vector), which `support_of`
+    takes, so a decoder checks each header once and draws a neighbour set
+    only for a packet it peels."""
     h = packet.header
     if isinstance(h, CoefficientVector):
+        if len(h.coefficients) != packet.k:
+            raise PacketFormatError(
+                f"coefficient vector of {len(h.coefficients)} entries, k={packet.k}"
+            )
         if any(c > 1 for c in h.coefficients):
             raise SchemeMismatchError("non-binary coefficients in a binary decoder")
         return None
@@ -389,6 +466,15 @@ def check_binary_header(packet: CodedPacket, n: Optional[int] = None) -> Optiona
     )
 
 
+def support_of(packet: CodedPacket, n: Optional[int]) -> list[int]:
+    """Input indices with nonzero GF(2) coefficients of a packet whose
+    header `check_binary_header` passed, given the n it returned."""
+    h = packet.header
+    if n is None:
+        return [j for j, c in enumerate(h.coefficients) if c]
+    return sorted(regenerate_neighbors(h.seed, h.degree, n))
+
+
 def packet_support(packet: CodedPacket, n: Optional[int] = None) -> list[int]:
     """Input indices with nonzero GF(2) coefficients.
 
@@ -396,8 +482,4 @@ def packet_support(packet: CodedPacket, n: Optional[int] = None) -> list[int]:
     sets (the raptor LT stage runs over k + redundant packets).  A degree
     outside 1..n is a malformed header and raises PacketFormatError.
     """
-    n = check_binary_header(packet, n)
-    h = packet.header
-    if n is None:
-        return [j for j, c in enumerate(h.coefficients) if c]
-    return sorted(regenerate_neighbors(h.seed, h.degree, n))
+    return support_of(packet, check_binary_header(packet, n))

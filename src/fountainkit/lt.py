@@ -27,14 +27,16 @@ from typing import Optional, Sequence
 
 from .core import (
     CodedPacket,
+    DecodeResult,
+    Decoder,
     DecodeStatus,
     InputBlock,
     SchemeId,
     SeedDegree,
     check_binary_header,
-    check_packet,
-    packet_support,
+    decode_all,
     regenerate_neighbors,
+    support_of,
 )
 from .linalg import OpCounter
 from .prng import SplitMix64
@@ -131,35 +133,37 @@ def custom_distribution(k: int, pmf: Sequence[float]) -> DegreeDistribution:
 
 
 class LTEncoder:
-    """Rateless encoder over one block; one instance per stream."""
+    """Rateless encoder over one block; one instance per stream.  Each
+    packet draws its degree, then its seed, then that many distinct rows:
+    the block's packets, or raptor's intermediate block."""
 
     scheme = SchemeId.LT
 
     def __init__(self, dist: DegreeDistribution, block: InputBlock, seed: int):
         if dist.k != block.k:
-            raise ValueError(f"distribution is for k={dist.k}, block has {block.k}")
+            raise ValueError(f"distribution is for k={dist.k}, encoder has {block.k} rows")
         self.dist = dist
         self.block = block
         self._rng = SplitMix64(seed)
-        self._payload_ints = [
-            int.from_bytes(p, "big") for p in block.packets
-        ]
+        self._rows = [int.from_bytes(p, "big") for p in block.packets]
 
     def next_packet(self) -> CodedPacket:
         degree = self.dist.sample_degree(self._rng.next_float())
         packet_seed = self._rng.next_u64()
-        neighbors = regenerate_neighbors(packet_seed, degree, self.block.k)
+        rows = self._rows
         acc = 0
-        for i in neighbors:
-            acc ^= self._payload_ints[i]
-        payload = acc.to_bytes(self.block.packet_len, "big")
+        for i in regenerate_neighbors(packet_seed, degree, len(rows)):
+            acc ^= rows[i]
         return CodedPacket(
             self.scheme,
             self.block.k,
             self.block.packet_len,
-            SeedDegree(packet_seed, degree),
-            payload,
+            self._header(packet_seed, degree),
+            acc.to_bytes(self.block.packet_len, "big"),
         )
+
+    def _header(self, seed: int, degree: int) -> SeedDegree:
+        return SeedDegree(seed, degree)
 
 
 @dataclass
@@ -169,17 +173,6 @@ class StallReport:
     undecoded: tuple[int, ...]
     pending_packets: int
     decoded_count: int
-
-
-@dataclass
-class PeelResult:
-    block: Optional[InputBlock]
-    stall: Optional[StallReport]
-    counter: OpCounter
-
-    @property
-    def success(self) -> bool:
-        return self.block is not None
 
 
 class Peeler:
@@ -192,11 +185,12 @@ class Peeler:
     inactive-slot mask) carried along.  When the count reaches 1, `xor`
     names the last unknown.  A dead equation is None.  A row always equals
     the original row XOR the values substituted into it; an equation left
-    with no unknowns is a core row when it has bits above `shift` and
-    redundant otherwise.  `value[u]` is the row unknown u resolved to,
-    None while unresolved; `incidence[u]` is the append-only list of the
-    equations u joined, so its length is an unresolved u's live degree.
-    A support passed to `add` must not repeat an index.
+    with no unknowns is a core row when it has bits above `shift`,
+    redundant when its row is zero and a contradiction otherwise.
+    `value[u]` is the row unknown u resolved to, None while unresolved;
+    `incidence[u]` is the append-only list of the equations u joined, so
+    its length is an unresolved u's live degree.  A support passed to
+    `add` must not repeat an index.
     """
 
     def __init__(self, n: int, shift: int, counter: OpCounter):
@@ -210,6 +204,7 @@ class Peeler:
         self.ripple: deque[int] = deque()
         self.core_rows: list[int] = []
         self.redundant = 0
+        self.contradictions = 0
 
     def add(self, support, row: int) -> None:
         """Substitute the resolved unknowns of one equation and peel."""
@@ -240,6 +235,8 @@ class Peeler:
     def _exhausted(self, row: int) -> None:
         if row >> self.shift:
             self.core_rows.append(row)
+        elif row:
+            self.contradictions += 1
         else:
             self.redundant += 1
 
@@ -283,7 +280,7 @@ class Peeler:
             self.resolve(eq[1], eq[2], count_rows=True)
 
 
-class PeelingDecoder:
+class PeelingDecoder(Decoder):
     """LT decoding by pure peeling: one `Peeler` over the k inputs, whose
     rows are bare payloads.  Peeling stops at a stall; more packets may
     restart it."""
@@ -293,12 +290,7 @@ class PeelingDecoder:
     schemes = (SchemeId.LT, SchemeId.RL)
 
     def __init__(self, k: int, packet_len: int):
-        self.k = k
-        self.packet_len = packet_len
-        self.counter = OpCounter()
-        self.status = DecodeStatus.NEEDS_MORE
-        self.packets_seen = 0
-        self._late = 0  # packets that arrived after decoding finished
+        super().__init__(k, packet_len)
         self._peeler = Peeler(k, 8 * packet_len, self.counter)
 
     @property
@@ -307,31 +299,20 @@ class PeelingDecoder:
 
     @property
     def redundant_count(self) -> int:
-        return self._peeler.redundant + self._late
+        return self._peeler.redundant + self.late
 
-    def ingest(self, packet: CodedPacket) -> DecodeStatus:
-        check_packet(packet, self.k, self.packet_len, *self.schemes)
-        if self.status is not DecodeStatus.NEEDS_MORE:
-            # Counted, with its header checked, but its neighbours not drawn.
-            check_binary_header(packet, self.k)
-            self.packets_seen += 1
-            self._late += 1
-            return self.status
-        support = packet_support(packet, self.k)
-        self.packets_seen += 1
-        self._peeler.add(support, int.from_bytes(packet.payload, "big"))
-        if not self._peeler.unresolved:
-            self.status = DecodeStatus.DECODABLE
-        return self.status
+    def _check(self, packet: CodedPacket) -> Optional[int]:
+        return check_binary_header(packet, self.k)
 
-    def decode(self) -> InputBlock:
-        if self.status is DecodeStatus.NEEDS_MORE:
-            raise RuntimeError("peeling has not resolved all inputs")
-        block = InputBlock(
+    def _add(self, packet: CodedPacket, n: Optional[int]) -> bool:
+        self._peeler.add(support_of(packet, n), int.from_bytes(packet.payload, "big"))
+        self.contradictions = self._peeler.contradictions
+        return not self._peeler.unresolved
+
+    def _solve(self) -> InputBlock:
+        return InputBlock(
             tuple(v.to_bytes(self.packet_len, "big") for v in self._peeler.value)
         )
-        self.status = DecodeStatus.DECODED
-        return block
 
     def stall_report(self) -> StallReport:
         peeler = self._peeler
@@ -344,14 +325,9 @@ class PeelingDecoder:
 
 def peel_decode(
     packets: Sequence[CodedPacket], k: int, packet_len: int
-) -> PeelResult:
+) -> DecodeResult:
     """Run peeling over a packet set; returns the block or a stall report."""
-    dec = PeelingDecoder(k, packet_len)
-    for p in packets:
-        dec.ingest(p)
-    if dec.status is not DecodeStatus.NEEDS_MORE:
-        return PeelResult(dec.decode(), None, dec.counter)
-    return PeelResult(None, dec.stall_report(), dec.counter)
+    return decode_all(PeelingDecoder(k, packet_len), packets)
 
 
 @dataclass
@@ -374,12 +350,10 @@ def lt_overhead_trial(dist: DegreeDistribution, seed: int) -> OverheadTrial:
     block = InputBlock(tuple(bytes(rng.below_many(256, 1)) for _ in range(k)))
     encoder = LTEncoder(dist, block, seed)
     decoder = PeelingDecoder(k, 1)
-    consumed = 0
-    while decoder.status is DecodeStatus.NEEDS_MORE:
-        if consumed >= 10 * k:
-            return OverheadTrial(consumed, consumed / k - 1.0, True, decoder.counter)
+    while decoder.status is DecodeStatus.NEEDS_MORE and decoder.packets_seen < 10 * k:
         decoder.ingest(encoder.next_packet())
-        consumed += 1
-    if decoder.decode() != block:
+    consumed = decoder.packets_seen
+    aborted = decoder.status is DecodeStatus.NEEDS_MORE
+    if not aborted and decoder.decode() != block:
         raise AssertionError("peeling produced a wrong block")
-    return OverheadTrial(consumed, consumed / k - 1.0, False, decoder.counter)
+    return OverheadTrial(consumed, consumed / k - 1.0, aborted, decoder.counter)

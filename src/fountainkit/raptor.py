@@ -36,19 +36,18 @@ from typing import Optional, Sequence
 
 from .core import (
     CodedPacket,
-    DecodeStatus,
+    Decoder,
     InputBlock,
     RaptorSeed,
     SchemeId,
     check_binary_header,
-    check_packet,
     packet_support,
-    regenerate_neighbors,
+    support_of,
 )
 from .gf import GF2
 from .errors import PacketFormatError, SchemeMismatchError, SingularMatrixError
 from .linalg import FieldMatrix, OpCounter, solve
-from .lt import DegreeDistribution, Peeler
+from .lt import DegreeDistribution, LTEncoder, Peeler
 from .prng import SplitMix64
 
 
@@ -103,8 +102,10 @@ def precode(block: InputBlock, spec: PrecodeSpec) -> tuple[bytes, ...]:
     return block.packets + tuple(parities)
 
 
-class RaptorEncoder:
-    """LT encoder whose inputs are the precoded intermediate block."""
+class RaptorEncoder(LTEncoder):
+    """LT encoder whose rows are the precoded intermediate block, so `dist`
+    covers its k + redundant_count packets, and whose headers carry the
+    precode parameters."""
 
     scheme = SchemeId.RAPTOR
 
@@ -115,42 +116,13 @@ class RaptorEncoder:
         precode_spec: PrecodeSpec,
         seed: int,
     ):
-        if dist.k != precode_spec.intermediate_count:
-            raise ValueError(
-                f"distribution must cover the {precode_spec.intermediate_count} "
-                f"intermediate packets, covers {dist.k}"
-            )
+        super().__init__(dist, InputBlock(precode(block, precode_spec)), seed)
         self.block = block
-        self.dist = dist
         self.precode_spec = precode_spec
-        self._rng = SplitMix64(seed)
-        self._intermediate = [
-            int.from_bytes(p, "big") for p in precode(block, precode_spec)
-        ]
 
-    def next_packet(self) -> CodedPacket:
-        degree = self.dist.sample_degree(self._rng.next_float())
-        packet_seed = self._rng.next_u64()
-        neighbors = regenerate_neighbors(
-            packet_seed, degree, self.precode_spec.intermediate_count
-        )
-        acc = 0
-        for i in neighbors:
-            acc ^= self._intermediate[i]
-        header = RaptorSeed(
-            seed=packet_seed,
-            degree=degree,
-            precode_seed=self.precode_spec.seed,
-            redundant_count=self.precode_spec.redundant_count,
-            row_weight=self.precode_spec.row_weight,
-        )
-        return CodedPacket(
-            self.scheme,
-            self.block.k,
-            self.block.packet_len,
-            header,
-            acc.to_bytes(self.block.packet_len, "big"),
-        )
+    def _header(self, seed: int, degree: int) -> RaptorSeed:
+        spec = self.precode_spec
+        return RaptorSeed(seed, degree, spec.seed, spec.redundant_count, spec.row_weight)
 
 
 @dataclass
@@ -306,61 +278,46 @@ def inactivation_decode(
     return engine.attempt()
 
 
-class RaptorDecoder:
+class RaptorDecoder(Decoder):
     """Streaming inactivation decoder for simulated sessions and the CLI.
 
-    One `_Inactivation` engine is built on the first packet (precode
-    parameters from its header) and every packet is peeled into it once.
-    From the k-th packet on, each packet is followed by one decode
-    attempt; after the first attempt only the small dense core is solved
-    again.  `counter` is the engine's counter, so it
-    holds all the work the session did, failed attempts included.
+    One `_Inactivation` engine is built on the first packet taken
+    (precode parameters from its header) and every packet is peeled into
+    it once.  From the k-th packet on, each packet is followed by one
+    decode attempt; after the first attempt only the small dense core is
+    solved again.  `counter` is the engine's counter, so it holds all the
+    work the session did, failed attempts included.
     """
 
-    scheme = SchemeId.RAPTOR
+    schemes = (SchemeId.RAPTOR,)
 
     def __init__(self, k: int, packet_len: int):
-        self.k = k
-        self.packet_len = packet_len
-        self.counter = OpCounter()
-        self.status = DecodeStatus.NEEDS_MORE
-        self.packets_seen = 0
+        super().__init__(k, packet_len)
         self._spec: Optional[PrecodeSpec] = None
         self._engine: Optional[_Inactivation] = None
-        self._block: Optional[InputBlock] = None
         self.last_result: Optional[InactivationResult] = None
 
-    def ingest(self, packet: CodedPacket) -> DecodeStatus:
-        check_packet(packet, self.k, self.packet_len, self.scheme)
-        spec = self._precode(packet.header)
-        if self.status is not DecodeStatus.NEEDS_MORE:
-            # Counted, with its header checked, but its neighbours not drawn.
-            check_binary_header(packet, spec.intermediate_count)
-            self.packets_seen += 1
-            return self.status
-        support = packet_support(packet, spec.intermediate_count)
-        self.packets_seen += 1
-        if self._engine is None:
-            self._engine = _Inactivation(spec, self.packet_len, self.counter)
-        self._engine.add(support, int.from_bytes(packet.payload, "big"))
-        if self.packets_seen >= self.k:
-            result = self._engine.attempt()
-            self.last_result = result
-            if result.success:
-                self._block = result.block
-                self._engine = None
-                self.status = DecodeStatus.DECODABLE
-        return self.status
-
-    def _precode(self, header) -> PrecodeSpec:
-        """The decoder's precode, fixed by the first packet's header; every
-        later header must announce the same one."""
-        spec = _header_spec(header, self.k)
-        if self._spec is None:
-            self._spec = spec
-        elif spec != self._spec:
+    def _check(self, packet: CodedPacket) -> PrecodeSpec:
+        """The packet's precode, which must be the decoder's once the
+        first packet taken has fixed it."""
+        spec = _header_spec(packet.header, self.k)
+        if self._spec is not None and spec != self._spec:
             raise SchemeMismatchError("packets disagree on precode parameters")
+        check_binary_header(packet, spec.intermediate_count)
         return spec
+
+    def _add(self, packet: CodedPacket, spec: PrecodeSpec) -> bool:
+        if self._engine is None:
+            self._spec = spec
+            self._engine = _Inactivation(spec, self.packet_len, self.counter)
+        engine, n = self._engine, spec.intermediate_count
+        engine.add(support_of(packet, n), int.from_bytes(packet.payload, "big"))
+        if self.packets_seen >= self.k:
+            self.last_result = engine.attempt()
+            if self.last_result.success:
+                self._engine = None  # the block is determined
+        self.contradictions = engine.contradictions
+        return self._engine is None
 
     @property
     def rank(self) -> int:
@@ -371,11 +328,8 @@ class RaptorDecoder:
             return 0
         return self.last_result.rank - self._spec.redundant_count
 
-    def decode(self) -> InputBlock:
-        if self._block is None:
-            raise RuntimeError("not enough innovative packets yet")
-        self.status = DecodeStatus.DECODED
-        return self._block
+    def _solve(self) -> InputBlock:
+        return self.last_result.block
 
 
 def dense_ge_decode(

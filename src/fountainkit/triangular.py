@@ -29,17 +29,17 @@ from typing import Optional, Sequence
 from .core import (
     CodedPacket,
     CoefficientVector,
-    DecodeStatus,
+    DecodeResult,
+    Decoder,
     InputBlock,
     SchemeId,
     SeedDegree,
     ShiftList,
     check_binary_header,
-    check_packet,
-    packet_support,
+    decode_all,
+    support_of,
 )
-from .errors import SchemeMismatchError
-from .linalg import OpCounter
+from .errors import PacketFormatError, SchemeMismatchError
 from .prng import SplitMix64
 
 
@@ -100,31 +100,41 @@ def tri_encode(block: InputBlock, sv: ShiftVector) -> CodedPacket:
     )
 
 
-def _check_header(packet: CodedPacket) -> None:
-    """Raise unless the header is a shift list or a binary-linear header;
-    draws no LT neighbour set."""
+def _check_header(packet: CodedPacket) -> Optional[int]:
+    """Raise unless the header is a shift list of k slots or a
+    binary-linear header; draws no LT neighbour set.  Returns what
+    `_pairs` takes: `check_binary_header`'s n, None for a shift list."""
     h = packet.header
     if isinstance(h, ShiftList):
+        if len(h.slots) != packet.k:
+            raise PacketFormatError(
+                f"shift list has {len(h.slots)} slots, expected k={packet.k}"
+            )
         ShiftVector.from_header(h)
-    elif isinstance(h, (CoefficientVector, SeedDegree)):
-        check_binary_header(packet)
-    else:
-        raise SchemeMismatchError(
-            f"{type(h).__name__} packets cannot join a bit-substitution decode"
-        )
+        return None
+    if isinstance(h, (CoefficientVector, SeedDegree)):
+        return check_binary_header(packet)
+    raise SchemeMismatchError(
+        f"{type(h).__name__} packets cannot join a bit-substitution decode"
+    )
 
 
-def _shifts_of(packet: CodedPacket) -> list[tuple[int, int]]:
-    """(participant, shift) pairs of a packet: native shift lists, or any
-    binary-linear header treated as an all-shift-0 packet.  An all-zero
-    coefficient vector has no pairs, and every bit equation it gives has
-    no unknowns: the engine drops them, as `PeelingDecoder` counts the
-    packet redundant."""
-    _check_header(packet)
+def _pairs(packet: CodedPacket, n: Optional[int]) -> list[tuple[int, int]]:
+    """(participant, shift) pairs of a packet `_check_header` passed,
+    given the n it returned: native shift lists, or any binary-linear
+    header treated as an all-shift-0 packet.  An all-zero coefficient
+    vector has no pairs, and every bit equation it gives has no unknowns:
+    the engine drops them, as `PeelingDecoder` counts the packet
+    redundant."""
     h = packet.header
     if isinstance(h, ShiftList):
         return [(i, s) for i, s in enumerate(h.slots) if s is not None]
-    return [(i, 0) for i in packet_support(packet)]
+    return [(i, 0) for i in support_of(packet, n)]
+
+
+def _shifts_of(packet: CodedPacket) -> list[tuple[int, int]]:
+    """The checked (participant, shift) pairs of a packet."""
+    return _pairs(packet, _check_header(packet))
 
 
 @dataclass
@@ -136,22 +146,11 @@ class BitStallReport:
     decoded_bits: int
 
 
-@dataclass
-class TriResult:
-    block: Optional[InputBlock]
-    stall: Optional[BitStallReport]
-    counter: OpCounter
-
-    @property
-    def success(self) -> bool:
-        return self.block is not None
-
-
 # bytes.translate table from bit values 0/1 to the digits int(_, 2) reads.
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-class BitSubstitutionDecoder:
+class BitSubstitutionDecoder(Decoder):
     """Equation system over the individual payload bits, peeled on the
     structure of the code.
 
@@ -182,12 +181,8 @@ class BitSubstitutionDecoder:
     schemes = (SchemeId.TRIANGULAR, SchemeId.LT, SchemeId.RL)
 
     def __init__(self, k: int, packet_len: int):
-        self.k = k
-        self.packet_len = packet_len
+        super().__init__(k, packet_len)
         self.bits_per_packet = nbits = packet_len * 8
-        self.counter = OpCounter()
-        self.status = DecodeStatus.NEEDS_MORE
-        self.packets_seen = 0
         self._unresolved = k * nbits
         # Field offsets: values sum to at most k + 1, ids to k(k + 1)/2.
         self._id_at = (k + 1).bit_length()
@@ -209,14 +204,10 @@ class BitSubstitutionDecoder:
         """Inputs with every bit resolved."""
         return self._left.count(0)
 
-    def ingest(self, packet: CodedPacket) -> DecodeStatus:
-        check_packet(packet, self.k, self.packet_len, *self.schemes)
-        if self.status is not DecodeStatus.NEEDS_MORE:
-            _check_header(packet)
-            self.packets_seen += 1
-            return self.status
-        pairs = _shifts_of(packet)
-        self.packets_seen += 1
+    _check = staticmethod(_check_header)
+
+    def _add(self, packet: CodedPacket, checked: Optional[int]) -> bool:
+        pairs = _pairs(packet, checked)
         nbits = self.bits_per_packet
         size = nbits + max((s for _, s in pairs), default=0)
         coded = int.from_bytes(packet.payload, "big")
@@ -233,9 +224,8 @@ class BitSubstitutionDecoder:
             if one <= n < two:
                 self._drain(eqs, shifts, t)
                 if not self._unresolved:
-                    self.status = DecodeStatus.DECODABLE
-                    break
-        return self.status
+                    return True
+        return False
 
     def _drain(self, current: list, shifts: dict, reached: int) -> None:
         """Resolve equations with one unknown left, starting with equation
@@ -272,10 +262,7 @@ class BitSubstitutionDecoder:
         self.counter.resolve_count += resolved
         self.counter.row_xor_count += substituted
 
-    def decode(self) -> InputBlock:
-        if self.status is DecodeStatus.NEEDS_MORE:
-            raise RuntimeError("bit system still has unknowns")
-        self.status = DecodeStatus.DECODED
+    def _solve(self) -> InputBlock:
         return InputBlock(
             tuple(
                 int(bytes(reversed(bits)).translate(_DIGITS), 2).to_bytes(
@@ -295,14 +282,9 @@ class BitSubstitutionDecoder:
 
 def tri_decode(
     packets: Sequence[CodedPacket], k: int, packet_len: int
-) -> TriResult:
+) -> DecodeResult:
     """Bit-by-bit back substitution over a mixed packet set."""
-    dec = BitSubstitutionDecoder(k, packet_len)
-    for p in packets:
-        dec.ingest(p)
-    if dec.status is not DecodeStatus.NEEDS_MORE:
-        return TriResult(dec.decode(), None, dec.counter)
-    return TriResult(None, dec.stall_report(), dec.counter)
+    return decode_all(BitSubstitutionDecoder(k, packet_len), packets)
 
 
 def planned_shift_stream(k: int, seed: int):

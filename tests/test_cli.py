@@ -354,6 +354,38 @@ class TestMixedPacketLength:
         assert not out.exists()
 
 
+@functools.lru_cache(maxsize=None)
+def _file_frames(scheme: str, file_seed: int, seed: int) -> tuple:
+    """The 40 frames of a k = 16 stream of a random 4,000-byte file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, stream = Path(tmp, "in.bin"), Path(tmp, "stream.ec")
+        src.write_bytes(random.Random(file_seed).randbytes(4000))
+        assert run("encode", src, stream, "--scheme", scheme, "--k", 16,
+                   "--count", 40, "--seed", seed) == 0
+        return tuple(read_stream(stream.read_bytes()))
+
+
+class TestContradictions:
+    @pytest.mark.parametrize("scheme,seeds", [
+        ("lt", (1, 2)), ("lt", (3, 4)), ("lt", (5, 6)), ("raptor", (1, 1)),
+    ])
+    @pytest.mark.parametrize("cut", [4, 8, 12])
+    def test_splice_of_two_files_is_refused(self, scheme, seeds, cut, tmp_path, capsys):
+        # The first frames of one file's stream followed by all of another
+        # equal-size file's: every frame shares the first frame's context,
+        # so only frames that contradict the ones before them show the
+        # splice.  No file is written.
+        frames = _file_frames(scheme, 1, seeds[0])[:cut] + _file_frames(scheme, 2, seeds[1])
+        spliced, out = tmp_path / "spliced.ec", tmp_path / "spliced.out"
+        spliced.write_bytes(write_stream(frames))
+        capsys.readouterr()
+        assert run("decode", spliced, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("decode failed:")
+        assert "contradict" in err
+        assert not out.exists()
+
+
 class TestOutOfRangeDegree:
     @pytest.mark.parametrize("degree", [0, 13, 0xFFFF])
     def test_lt_degree_outside_one_to_k_is_decode_failure(

@@ -17,7 +17,7 @@ from fountainkit.core import (
 )
 from fountainkit.errors import PacketFormatError
 from fountainkit.gf import GF2
-from fountainkit.linalg import FieldMatrix, rank
+from fountainkit.linalg import FieldMatrix, rank, xor_bytes
 from fountainkit.lt import (
     LTEncoder,
     PeelingDecoder,
@@ -240,6 +240,24 @@ class TestPeeling:
         with pytest.raises(PacketFormatError):
             dec.ingest(bad)
         assert (dec.redundant_count, dec.packets_seen) == (redundant, seen)
+
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_vector_of_another_length_refused(self, length):
+        # A k = 4 decoder refuses a GF(2) vector of 3 or 5 entries and is
+        # left as it was: a shorter vector is no packet over the first
+        # inputs, and a longer one raises no IndexError.
+        blk = block(4, b=1, seed=62)
+        dec = PeelingDecoder(4, 1)
+        dec.ingest(xor_packet({0, 1}, xor_bytes(blk.packets[0], blk.packets[1]), 4))
+        before = (dec.packets_seen, dec.redundant_count, dec.decoded_count, dec.counter)
+        bad = CodedPacket(SchemeId.RL, 4, 1, CoefficientVector((1,) * length), bytes(1))
+        with pytest.raises(PacketFormatError, match="entries"):
+            dec.ingest(bad)
+        assert (dec.packets_seen, dec.redundant_count, dec.decoded_count, dec.counter) == before
+        for i in range(4):
+            dec.ingest(xor_packet({i}, blk.packets[i], 4))
+        assert dec.decode() == blk
 
 
 class TestOverheadTrials:

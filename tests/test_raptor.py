@@ -8,6 +8,7 @@ import pytest
 from fountainkit.core import (
     CodedPacket,
     CoefficientVector,
+    DecodeStatus,
     InputBlock,
     SchemeId,
     regenerate_neighbors,
@@ -266,6 +267,25 @@ class TestDecoderPrecodeHeaders:
         with pytest.raises(SchemeMismatchError, match="precode"):
             dec.ingest(dataclasses.replace(second, header=header))
         assert (dec.packets_seen, dec.counter) == (1, counter)
+
+    def test_refused_first_packet_fixes_no_precode(self):
+        # A degree-0 first packet of a stream with precode seed 1 is
+        # refused, so the stream with precode seed 2 that follows decodes
+        # to its own block.
+        def encoder(precode_seed):
+            spec = PrecodeSpec.default(16, precode_seed)
+            dist = robust_soliton(spec.intermediate_count, 0.2, 0.5)
+            return RaptorEncoder(block(16, seed=precode_seed), dist, spec, seed=5)
+
+        first = encoder(1).next_packet()
+        bad = dataclasses.replace(first, header=dataclasses.replace(first.header, degree=0))
+        dec = RaptorDecoder(16, 4)
+        with pytest.raises(PacketFormatError, match="degree"):
+            dec.ingest(bad)
+        enc = encoder(2)
+        while dec.status is DecodeStatus.NEEDS_MORE:
+            dec.ingest(enc.next_packet())
+        assert dec.decode() == block(16, seed=2)
 
     def test_impossible_precode_header_is_format_error(self):
         p = self._packets(precode_seed=1)[0]

@@ -11,8 +11,9 @@ from fountainkit.core import (
     InputBlock,
     SchemeId,
     SeedDegree,
+    ShiftList,
 )
-from fountainkit.errors import PacketFormatError, SchemeMismatchError
+from fountainkit.errors import PacketFormatError
 from fountainkit.linalg import xor_bytes
 from fountainkit.lt import peel_decode
 from fountainkit.prng import SplitMix64
@@ -145,18 +146,29 @@ class TestDecode:
         assert dec.packets_seen == 2
         assert dec.decode() == blk
 
-    @pytest.mark.parametrize("b,pad", [(4, 0), (8, -1), (8, 1)])
-    def test_packet_of_another_b_or_payload_length_refused(self, b, pad):
-        # A B = 8 decoder takes only packets with B = 8 and a payload of
-        # B + ceil(max_shift / 8) bytes; it used to check k alone.
-        packet = tri_encode(block(4, b=b, seed=12), ShiftVector((0, 1, 2, 3), (0, 3, 1, 2)))
-        if pad:
-            payload = packet.payload + b"\0" if pad > 0 else packet.payload[:-1]
-            packet = CodedPacket(packet.scheme, 4, b, packet.header, payload)
-        dec = BitSubstitutionDecoder(4, 8)
-        with pytest.raises(SchemeMismatchError):
-            dec.ingest(packet)
-        assert dec.packets_seen == 0
+    @pytest.mark.parametrize("header", ["shift list", "coefficients"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_vector_of_another_length_refused(self, header, length):
+        # A k = 2 decoder refuses a shift list or a GF(2) vector of 1 or 3
+        # entries and is left as it was: a shorter one is no packet over
+        # the first input, and a longer one raises no IndexError.
+        blk = block(2, seed=16)
+        dec = BitSubstitutionDecoder(2, blk.packet_len)
+        dec.ingest(tri_encode(blk, ShiftVector((0, 1), (0, 0))))
+        before = (dec.packets_seen, dec.decoded_bits, dec.counter)
+        if header == "shift list":
+            bad = CodedPacket(
+                SchemeId.TRIANGULAR, 2, blk.packet_len, ShiftList((0,) * length),
+                bytes(blk.packet_len),
+            )
+        else:
+            bad = xor_packet(set(range(length)), bytes(blk.packet_len), length)
+            bad = CodedPacket(SchemeId.RL, 2, blk.packet_len, bad.header, bad.payload)
+        with pytest.raises(PacketFormatError):
+            dec.ingest(bad)
+        assert (dec.packets_seen, dec.decoded_bits, dec.counter) == before
+        assert dec.ingest(tri_encode(blk, ShiftVector((0, 1), (0, 1)))) is DecodeStatus.DECODABLE
+        assert dec.decode() == blk
 
     def test_zero_shift_agreement_with_peeling(self):
         rng = random.Random(11)
