@@ -190,7 +190,7 @@ def make_codec_session(
     soliton_c: float = 0.1,
     soliton_delta: float = 0.5,
     redundant_count: Optional[int] = None,
-    row_weight: int = 3,
+    row_weight: Optional[int] = None,
 ) -> CodecSession:
     """Bundle one of the five codecs' packet streams for a simulated
     session.  The rateless streams never end."""
@@ -211,8 +211,11 @@ def make_codec_session(
             block,
         )
     if scheme == "raptor":
+        default = PrecodeSpec.default(k, seed)
         if redundant_count is None:
-            redundant_count = PrecodeSpec.default(k, seed).redundant_count
+            redundant_count = default.redundant_count
+        if row_weight is None:
+            row_weight = default.row_weight
         pre = PrecodeSpec(
             k=k, redundant_count=redundant_count, row_weight=row_weight, seed=seed
         )

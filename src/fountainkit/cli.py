@@ -370,8 +370,8 @@ def _add_scheme_params(p: argparse.ArgumentParser) -> None:
                    help="robust Soliton delta (lt/raptor)")
     p.add_argument("--redundant", type=int, default=None,
                    help="raptor parity packet count (default ceil(0.05k)+4)")
-    p.add_argument("--row-weight", type=int, default=3, dest="row_weight",
-                   help="raptor parity row weight")
+    p.add_argument("--row-weight", type=int, default=None, dest="row_weight",
+                   help="raptor parity row weight (default min(3, k))")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,14 +10,16 @@ equals zero) without side channels.
 
 Inactivation decoding peels (with `lt.Peeler`, the LT decoder's engine)
 until no 1-sparse equation remains, then marks one unresolved unknown
-inactive (treated as symbolically known) and keeps peeling.  Resolved
+inactive (treated as symbolically known) and keeps peeling.  The unknown
+is the one in the most equations (lowest index on ties), read from one
+ordering sorted at the first stall rather than a scan per stall.  Resolved
 unknowns become affine expressions over the inactive set, held in one
 int per row: the payload in the low `8·B` bits, the mask over the
 inactive slots above them.  Equations whose unknowns are exhausted with
 a nonzero mask turn into rows of a small dense core, which one Gaussian
-elimination solves.  The peeled expressions are then evaluated.  Work is
-far below dense elimination on the full system whenever the LT stage is
-sparse.
+elimination solves.  The peeled expressions are then evaluated, one XOR
+per set bit of each mask.  Work is far below dense elimination on the
+full system whenever the LT stage is sparse.
 
 The decoding state survives a failed attempt: every unknown is then an
 affine expression over the inactive set, so each later packet becomes
@@ -188,9 +190,15 @@ class _Inactivation(Peeler):
     later equation becomes one core row through `add` and the next
     attempt only re-solves the core.
 
-    The inactivation choice is the unresolved unknown incident to the
-    most live equations, ties broken by lowest index, so runs replay
-    deterministically.
+    The inactivation choice is the unresolved unknown with the longest
+    incidence list, ties broken by lowest index, so runs replay
+    deterministically.  One sorted order per attempt replays that choice
+    exactly: an unresolved unknown's list grows only in `add`, which never
+    runs inside `attempt`, so every key is frozen while the attempt
+    inactivates, and each stall takes the first entry still unresolved.
+    The first attempt resolves every unknown and `add` never unresolves
+    one, so only that attempt stalls and the order is sorted at most once
+    per engine.
     """
 
     def __init__(self, spec: PrecodeSpec, packet_len: int, counter: OpCounter):
@@ -209,19 +217,26 @@ class _Inactivation(Peeler):
         A singular core is a failure report, not an exception, and leaves
         the state live for more equations.
         """
-        incidence, inactive, shift = self.incidence, self.inactive, self.shift
+        value, inactive, shift = self.value, self.inactive, self.shift
+        order: list[int] = []
+        pos = 0
         while self.unresolved:
             if self.ripple:
                 self.drain()
-            else:
-                # Stall: inactivate the busiest unresolved unknown.
-                u = max(
-                    (v for v, row in enumerate(self.value) if row is None),
-                    key=lambda v: (len(incidence[v]), -v),
+                continue
+            # Stall: inactivate the busiest unresolved unknown.
+            if not order:
+                incidence = self.incidence
+                order = sorted(
+                    (v for v, row in enumerate(value) if row is None),
+                    key=lambda v: (-len(incidence[v]), v),
                 )
-                slot = len(inactive)
-                inactive.append(u)
-                self.resolve(u, 1 << (shift + slot), count_rows=False)
+            while value[order[pos]] is not None:
+                pos += 1
+            u = order[pos]
+            slot = len(inactive)
+            inactive.append(u)
+            self.resolve(u, 1 << (shift + slot), count_rows=False)
 
         t = len(inactive)
         n = self.spec.intermediate_count
@@ -240,15 +255,13 @@ class _Inactivation(Peeler):
             inactive_values = [int.from_bytes(x, "big") for x in xs]
 
         out = []
-        for row in self.value[: self.spec.k]:
+        for row in value[: self.spec.k]:
             mask, v = row >> shift, row & low
-            slot = 0
+            counter.row_xor_count += mask.bit_count()
             while mask:
-                if mask & 1:
-                    v ^= inactive_values[slot]
-                    counter.row_xor_count += 1
-                mask >>= 1
-                slot += 1
+                bit = mask & -mask
+                v ^= inactive_values[bit.bit_length() - 1]
+                mask ^= bit
             out.append(v.to_bytes(plen, "big"))
         return InactivationResult(InputBlock(tuple(out)), tuple(inactive), t, n, counter)
 

@@ -50,6 +50,17 @@ class TestEncodeDecode:
         assert run("decode", stream, out) == 0
         assert out.read_bytes() == sample_file.read_bytes()
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_raptor_round_trip_below_the_default_row_weight(self, k, sample_file, tmp_path):
+        # The default parity row weight is min(3, k), as in
+        # PrecodeSpec.default, so k = 1 and 2 encode.
+        stream = tmp_path / "stream.ec"
+        out = tmp_path / "out.bin"
+        assert run("encode", sample_file, stream, "--scheme", "raptor", "--k", k) == 0
+        assert {f.header.row_weight for f in read_stream(stream.read_bytes())} == {k}
+        assert run("decode", stream, out) == 0
+        assert out.read_bytes() == sample_file.read_bytes()
+
     def test_single_byte_file(self, tmp_path):
         src = tmp_path / "one.bin"
         src.write_bytes(b"\xA7")
@@ -293,6 +304,11 @@ class TestBench:
         out = capsys.readouterr().out
         assert out.startswith(CSV_COLUMNS)
         assert out.strip().split("\n")[1].startswith("raptor,12,")
+
+    def test_simulate_raptor_at_k_2(self, capsys):
+        assert run("simulate", "--scheme", "raptor", "--k", "2", "--loss", "0.1",
+                   "--clients", "2", "--trials", "2", "--seed", "6") == 0
+        assert capsys.readouterr().out.strip().split("\n")[1].startswith("raptor,2,")
 
     def test_lt_overhead_shrinks_with_k(self, capsys):
         assert run("bench", "--schemes", "lt", "--k-values", "20", "100", "1000",

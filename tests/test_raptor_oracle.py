@@ -17,6 +17,17 @@ which batch `inactivation_decode` and `dense_ge_decode` both succeed, and
 return the same block.  The second checks that a failed attempt reports
 the GF(2) rank of the rows it read: every packet plus the parity
 constraints.
+
+`ScanInactivation` is the engine as it was before its stall choice read
+one sorted order per attempt: a `max()` over every unknown at each stall,
+and an evaluation that walks every bit of each mask.  The differential
+tests run it and the engine in use on k = 256 and 1,024 streams (B = 1,
+degree-2 regular streams full of degree ties and the default robust
+Soliton streams), through `inactivation_decode` and through
+`RaptorDecoder` sessions with failed attempts, and compare inactivated
+unknowns, core sizes, ranks, counters and blocks.  A hand-built system
+with two busiest unknowns of equal degree pins the lowest-index
+tie-break.
 """
 
 import hashlib
@@ -25,11 +36,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fountainkit import raptor
+from fountainkit.bec import default_distribution
 from fountainkit.core import DecodeStatus, InputBlock, packet_support
+from fountainkit.errors import SingularMatrixError
 from fountainkit.gf import GF2
-from fountainkit.linalg import FieldMatrix, OpCounter, rank
+from fountainkit.linalg import FieldMatrix, OpCounter, rank, solve
 from fountainkit.lt import ideal_soliton, regular_distribution
 from fountainkit.raptor import (
+    InactivationResult,
     PrecodeSpec,
     RaptorDecoder,
     RaptorEncoder,
@@ -142,3 +157,142 @@ def test_failed_attempt_reports_the_rank_of_its_rows(stream):
     supports += [srcs + [spec.k + i] for i, srcs in enumerate(parity_sources(spec))]
     rows = [sum(1 << u for u in support) for support in supports]
     assert res.rank == rank(FieldMatrix(GF2, n, rows))
+
+
+class ScanInactivation(raptor._Inactivation):
+    """Reference engine: a full scan per stall and a walk over every mask
+    bit, as `_Inactivation.attempt` was."""
+
+    def attempt(self):
+        incidence, inactive, shift = self.incidence, self.inactive, self.shift
+        while self.unresolved:
+            if self.ripple:
+                self.drain()
+            else:
+                u = max(
+                    (v for v, row in enumerate(self.value) if row is None),
+                    key=lambda v: (len(incidence[v]), -v),
+                )
+                slot = len(inactive)
+                inactive.append(u)
+                self.resolve(u, 1 << (shift + slot), count_rows=False)
+
+        t = len(inactive)
+        n = self.spec.intermediate_count
+        counter, plen = self.counter, self.packet_len
+        low = (1 << shift) - 1
+        inactive_values = []
+        if t:
+            core = FieldMatrix(GF2, t, [row >> shift for row in self.core_rows])
+            rhs = [(row & low).to_bytes(plen, "big") for row in self.core_rows]
+            try:
+                xs = solve(core, rhs, counter)
+            except SingularMatrixError as exc:
+                return InactivationResult(
+                    None, tuple(inactive), t, n - t + exc.rank, counter
+                )
+            inactive_values = [int.from_bytes(x, "big") for x in xs]
+
+        out = []
+        for row in self.value[: self.spec.k]:
+            mask, v = row >> shift, row & low
+            slot = 0
+            while mask:
+                if mask & 1:
+                    v ^= inactive_values[slot]
+                    counter.row_xor_count += 1
+                mask >>= 1
+                slot += 1
+            out.append(v.to_bytes(plen, "big"))
+        return InactivationResult(InputBlock(tuple(out)), tuple(inactive), t, n, counter)
+
+
+def _result(res):
+    return (
+        res.block.packets if res.success else None,
+        res.inactivated, res.core_size, res.rank, _counts(res.counter),
+    )
+
+
+def _b1_stream(k, regular, seed, count):
+    """`count` packets of a B = 1 stream under the default precode."""
+    spec = PrecodeSpec.default(k, seed)
+    n = spec.intermediate_count
+    dist = regular_distribution(n, 2) if regular else default_distribution(n, 0.1, 0.5)
+    rng = random.Random(seed)
+    block = InputBlock(tuple(rng.randbytes(1) for _ in range(k)))
+    enc = RaptorEncoder(block, dist, spec, seed)
+    return [enc.next_packet() for _ in range(count)]
+
+
+def _session(packets):
+    """Per packet: the status and the last attempt's result."""
+    dec = RaptorDecoder(packets[0].k, packets[0].packet_len)
+    records = []
+    for p in packets:
+        status = dec.ingest(p)
+        res = dec.last_result
+        records.append((status, None if res is None else _result(res)))
+        if status is DecodeStatus.DECODABLE:
+            break
+    return records
+
+
+def _against_reference(monkeypatch, run):
+    """`run()` on the engine in use, then on `ScanInactivation`."""
+    ours = run()
+    with monkeypatch.context() as m:
+        m.setattr(raptor, "_Inactivation", ScanInactivation)
+        reference = run()
+    return ours, reference
+
+
+def test_batch_decode_matches_scan_reference_at_scale(monkeypatch):
+    outcomes = set()
+    for k in (256, 1024):
+        for regular in (True, False):
+            for seed in (1, 2, 3):
+                packets = _b1_stream(k, regular, seed, k + k // 20)
+                ours, reference = _against_reference(
+                    monkeypatch, lambda: _result(inactivation_decode(packets))
+                )
+                assert ours == reference, (k, regular, seed)
+                assert ours[1], "every system stalls"
+                outcomes.add(ours[0] is not None)
+    assert outcomes == {True, False}
+
+
+def test_sessions_with_failed_attempts_match_scan_reference(monkeypatch):
+    failed = 0
+    for k, regular, seed, count in (
+        (256, False, 1, 300), (256, False, 2, 300), (256, False, 3, 300),
+        (1024, False, 1, 1100), (1024, False, 2, 1100), (256, True, 1, 300),
+        (1024, True, 1, 1060),
+    ):
+        packets = _b1_stream(k, regular, seed, count)
+        ours, reference = _against_reference(monkeypatch, lambda: _session(packets))
+        assert ours == reference, (k, regular, seed)
+        failed += sum(res is not None and res[0] is None for _, res in ours)
+    assert failed >= 10
+
+
+def test_stall_ties_go_to_the_lowest_index():
+    # Unknowns 1 and 2 each sit in three equations, 0 in two and 3 in
+    # one, and no equation has one unknown: the first stall must
+    # inactivate 1.
+    x = [0x5A, 0xC3, 0x17, 0xE8]
+    supports = [[1, 2], [1, 3], [0, 2], [0, 1, 2]]
+    spec = PrecodeSpec(k=4, redundant_count=0, row_weight=1)
+    results = []
+    for engine_type in (raptor._Inactivation, ScanInactivation):
+        engine = engine_type(spec, 1, OpCounter())
+        for support in supports:
+            rhs = 0
+            for u in support:
+                rhs ^= x[u]
+            engine.add(support, rhs)
+        results.append(_result(engine.attempt()))
+    assert results[0] == results[1]
+    block, inactivated, core_size, rank_, _ = results[0]
+    assert (inactivated, core_size, rank_) == ((1,), 1, 4)
+    assert block == tuple(bytes([v]) for v in x)
